@@ -81,15 +81,7 @@ makeCli(const char *bench, BenchOptions &opt)
                            pos, comma == std::string::npos
                                     ? comma
                                     : comma - pos);
-                       bool found = false;
-                       for (AppId id : kAllApps) {
-                           if (appName(id) == name) {
-                               opt.apps.push_back(id);
-                               found = true;
-                           }
-                       }
-                       if (!found)
-                           ede_fatal("unknown app '", name, "'");
+                       opt.apps.push_back(toApp(name));
                        pos = (comma == std::string::npos) ? comma
                                                           : comma + 1;
                    }

@@ -29,10 +29,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "exp/runner.hh"
+#include "sim/session.hh"
 
 namespace ede {
 namespace bench {
@@ -288,6 +290,55 @@ addTrafficFlags(Cli &cli, TrafficOptions &opt)
     addSeedFlag(cli, opt.seed);
 }
 
+/**
+ * A structured workload fault raised before any verdict (an exhausted
+ * per-core EDK key partition, a paced workload outgrowing its pace
+ * lines) is a usage error at a tool's entry point: print one line
+ * naming the kind and its detail to stderr and return exit status 2,
+ * the same contract as malformed flags.
+ */
+inline int
+reportUsageFault(const char *tool, const SimFaultError &e)
+{
+    const std::string what = e.what();
+    std::string line = what.substr(0, what.find('\n'));
+    if (!e.error().detail.empty())
+        line += ": " + e.error().detail;
+    std::fprintf(stderr, "%s: %s\n", tool, line.c_str());
+    return 2;
+}
+
+/** Parse a single-core application name. */
+inline AppId
+toApp(const std::string &s)
+{
+    for (AppId id : kAllApps) {
+        if (s == appName(id))
+            return id;
+    }
+    throw CliError{"unknown app '" + s + "'"};
+}
+
+/** Parse a concurrent-kernel name (msqueue / rwlock / rcu). */
+inline ConcApp
+toConcApp(const std::string &s)
+{
+    for (ConcApp app : kAllConcApps) {
+        if (s == concAppName(app))
+            return app;
+    }
+    throw CliError{"unknown concurrent kernel '" + s + "'"};
+}
+
+/** Parse a Table III configuration name. */
+inline Config
+toConfig(const std::string &s)
+{
+    if (const std::optional<Config> c = configFromName(s))
+        return *c;
+    throw CliError{"unknown config '" + s + "'"};
+}
+
 /** Parse an admission-policy name (see traffic/policy.hh). */
 inline traffic::AdmissionKind
 toAdmissionKind(const std::string &s)
@@ -440,15 +491,7 @@ applyOverload(traffic::TrafficPlan &plan, const OverloadOptions &o)
     }
 }
 
-/** Process-isolation options shared by the sweeping drivers. */
-struct IsolationOptions
-{
-    bool isolate = false;      ///< Fork one worker per cell.
-    exp::WorkerLimits limits;  ///< Per-job timeout / memory cap.
-    exp::RetryPolicy retry;    ///< Transient-failure retry policy.
-    std::string journalPath;   ///< Empty = no sweep journal.
-    bool resume = false;       ///< Replay a compatible journal.
-};
+using exp::IsolationOptions;
 
 /** Register --isolate / --timeout-ms / ... / --resume on @p cli. */
 inline void

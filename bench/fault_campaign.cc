@@ -42,46 +42,16 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
 
 #include "cli.hh"
-#include "common/logging.hh"
+#include "exp/sink.hh"
 #include "fault/campaign.hh"
 #include "fault/conc_campaign.hh"
 #include "sim/session.hh"
 
 using namespace ede;
 using namespace ede::bench;
-
-namespace {
-
-AppId
-parseApp(const std::string &name)
-{
-    for (AppId id : kAllApps) {
-        if (name == appName(id))
-            return id;
-    }
-    std::fprintf(stderr, "unknown app '%s'\n", name.c_str());
-    std::exit(2);
-}
-
-ConcApp
-parseConcApp(const std::string &name)
-{
-    for (ConcApp app : kAllConcApps) {
-        if (name == concAppName(app))
-            return app;
-    }
-    std::fprintf(stderr, "unknown concurrent kernel '%s'\n",
-                 name.c_str());
-    std::exit(2);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -90,8 +60,6 @@ main(int argc, char **argv)
     ConcCampaignOptions conc;
     bool useConc = false;
     std::string jsonPath;
-    std::string chaosCrashConfig;
-    IsolationOptions iso;
     Cli cli("fault_campaign");
     cli.value("--seed", "N", "campaign RNG seed",
               [&](const std::string &v) { options.seed = toU64(v); })
@@ -103,7 +71,7 @@ main(int argc, char **argv)
                })
         .value("--app", "NAME", "workload application",
                [&](const std::string &v) {
-                   options.app = parseApp(v);
+                   options.app = toApp(v);
                })
         .value("--txns", "N", "transactions per run",
                [&](const std::string &v) {
@@ -130,13 +98,15 @@ main(int argc, char **argv)
         .value("--chaos-crash-config", "NAME",
                "chaos hook: this configuration's isolated worker "
                "calls abort() (CI/testing only)",
-               [&](const std::string &v) { chaosCrashConfig = v; })
+               [&](const std::string &v) {
+                   options.chaosCrashConfig = v;
+               })
         .value("--conc", "NAME",
                "concurrent kernel (msqueue / rwlock / rcu): run the "
                "multi-core campaign instead of the single-app one",
                [&](const std::string &v) {
                    useConc = true;
-                   conc.app = parseConcApp(v);
+                   conc.app = toConcApp(v);
                })
         .value("--cores", "N", "cores for --conc (default 2)",
                [&](const std::string &v) {
@@ -158,84 +128,51 @@ main(int argc, char **argv)
                [&](const std::string &v) {
                    conc.mediaFactor = toUnsigned(v);
                });
-    addIsolationFlags(cli, iso);
+    addIsolationFlags(cli, options.isolation);
     cli.parse(argc, argv);
 
-    options.isolate = iso.isolate;
-    options.limits = iso.limits;
-    options.retry = iso.retry;
-    options.journalPath = iso.journalPath;
-    options.resume = iso.resume;
-    options.chaosCrashConfig = chaosCrashConfig;
+    bool ok = false;
+    bool noteNoUExposure = false;
+    std::string json;
+    try {
+        if (useConc) {
+            // Shared flags were parsed into the single-app options;
+            // forward them so both campaigns speak one CLI dialect.
+            conc.seed = options.seed;
+            conc.pointsPerConfig = options.pointsPerConfig;
+            conc.acceptFaultRate = options.acceptFaultRate;
+            conc.jobs = options.jobs;
+            conc.isolation = options.isolation;
+            conc.chaosCrashConfig = options.chaosCrashConfig;
 
-    if (useConc) {
-        // Shared flags were parsed into the single-app options;
-        // forward them so both campaigns speak one CLI dialect.
-        conc.seed = options.seed;
-        conc.pointsPerConfig = options.pointsPerConfig;
-        conc.acceptFaultRate = options.acceptFaultRate;
-        conc.jobs = options.jobs;
-        conc.isolate = options.isolate;
-        conc.limits = options.limits;
-        conc.retry = options.retry;
-        conc.journalPath = options.journalPath;
-        conc.resume = options.resume;
-        conc.chaosCrashConfig = options.chaosCrashConfig;
-
-        ConcCampaignReport report;
-        try {
-            report = runConcCampaign(conc);
-        } catch (const SimFaultError &e) {
-            // A structured workload fault (e.g. the per-core EDK key
-            // partition exhausting at --cores >= 16) is a usage
-            // error here, not a campaign verdict: one-line
-            // diagnostic, exit 2, same contract as malformed flags.
-            const std::string what = e.what();
-            std::fprintf(stderr, "fault_campaign: %s\n",
-                         what.substr(0, what.find('\n')).c_str());
-            return 2;
+            const ConcCampaignReport report = runConcCampaign(conc);
+            std::fputs(report.describe().c_str(), stdout);
+            ok = report.ok();
+            if (!jsonPath.empty())
+                json = concCampaignToJson(report);
+        } else {
+            const CampaignReport report = runCampaign(options);
+            std::fputs(report.describe().c_str(), stdout);
+            ok = report.ok();
+            if (!jsonPath.empty())
+                json = campaignToJson(report);
+            noteNoUExposure = report.quarantined.empty();
+            for (const CampaignConfigResult &c : report.configs) {
+                if (c.config == Config::U && c.unrecoverable > 0)
+                    noteNoUExposure = false;
+            }
         }
-        std::fputs(report.describe().c_str(), stdout);
-
-        if (!jsonPath.empty()) {
-            std::ofstream out(jsonPath,
-                              std::ios::binary | std::ios::trunc);
-            if (!out)
-                ede_fatal("cannot write JSON artifact '", jsonPath,
-                          "'");
-            out << concCampaignToJson(report);
-            out.close();
-            if (!out)
-                ede_fatal("short write on JSON artifact '", jsonPath,
-                          "'");
-            std::printf("[campaign] wrote %s\n", jsonPath.c_str());
-        }
-        return report.ok() ? 0 : 1;
+    } catch (const SimFaultError &e) {
+        return reportUsageFault("fault_campaign", e);
     }
-
-    const CampaignReport report = runCampaign(options);
-    std::fputs(report.describe().c_str(), stdout);
 
     if (!jsonPath.empty()) {
-        std::ofstream out(jsonPath,
-                          std::ios::binary | std::ios::trunc);
-        if (!out)
-            ede_fatal("cannot write JSON artifact '", jsonPath, "'");
-        out << campaignToJson(report);
-        out.close();
-        if (!out)
-            ede_fatal("short write on JSON artifact '", jsonPath, "'");
+        exp::writeArtifactFile(jsonPath, json);
         std::printf("[campaign] wrote %s\n", jsonPath.c_str());
     }
-
-    bool unsafe_exposed = false;
-    for (const CampaignConfigResult &c : report.configs) {
-        if (c.config == Config::U && c.unrecoverable > 0)
-            unsafe_exposed = true;
-    }
-    if (!unsafe_exposed && report.quarantined.empty()) {
+    if (noteNoUExposure) {
         std::printf("note: U produced no unrecoverable point at this "
                     "seed/scale; widen --points or --txns\n");
     }
-    return report.ok() ? 0 : 1;
+    return ok ? 0 : 1;
 }

@@ -43,56 +43,16 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 
 #include "cli.hh"
-#include "common/logging.hh"
+#include "exp/sink.hh"
 #include "fault/conc_check.hh"
 #include "fault/model_check/checker.hh"
 #include "sim/session.hh"
 
 using namespace ede;
 using namespace ede::bench;
-
-namespace {
-
-AppId
-parseApp(const std::string &name)
-{
-    for (AppId id : kAllApps) {
-        if (name == appName(id))
-            return id;
-    }
-    std::fprintf(stderr, "unknown app '%s'\n", name.c_str());
-    std::exit(2);
-}
-
-Config
-parseConfig(const std::string &name)
-{
-    for (Config c : kAllConfigs) {
-        if (name == configName(c))
-            return c;
-    }
-    std::fprintf(stderr, "unknown config '%s'\n", name.c_str());
-    std::exit(2);
-}
-
-ConcApp
-parseConcApp(const std::string &name)
-{
-    for (ConcApp app : kAllConcApps) {
-        if (name == concAppName(app))
-            return app;
-    }
-    std::fprintf(stderr, "unknown concurrent kernel '%s'\n",
-                 name.c_str());
-    std::exit(2);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -102,10 +62,9 @@ main(int argc, char **argv)
     bool useConc = false;
     std::string jsonPath;
     std::vector<Config> configs;
-    IsolationOptions iso;
     Cli cli("model_check");
     cli.value("--app", "NAME", "workload application",
-              [&](const std::string &v) { options.app = parseApp(v); })
+              [&](const std::string &v) { options.app = toApp(v); })
         .value("--seed", "N", "model-check RNG seed (torn masks)",
                [&](const std::string &v) { options.seed = toU64(v); })
         .value("--txns", "N", "transactions per run",
@@ -124,7 +83,7 @@ main(int argc, char **argv)
         .value("--config", "NAME",
                "configuration to check (repeatable; default B IQ WB)",
                [&](const std::string &v) {
-                   configs.push_back(parseConfig(v));
+                   configs.push_back(toConfig(v));
                })
         .value("--drain-lines", "N",
                "ADR drain budget in 256 B media lines "
@@ -169,7 +128,7 @@ main(int argc, char **argv)
                "cross-core checker instead of the single-app one",
                [&](const std::string &v) {
                    useConc = true;
-                   conc.app = parseConcApp(v);
+                   conc.app = toConcApp(v);
                })
         .value("--cores", "N", "cores for --conc (default 2)",
                [&](const std::string &v) {
@@ -191,16 +150,11 @@ main(int argc, char **argv)
                [&](const std::string &v) {
                    conc.mediaFactor = toUnsigned(v);
                });
-    addIsolationFlags(cli, iso);
+    addIsolationFlags(cli, options.isolation);
     cli.parse(argc, argv);
 
     if (!configs.empty())
         options.configs = configs;
-    options.isolate = iso.isolate;
-    options.limits = iso.limits;
-    options.retry = iso.retry;
-    options.journalPath = iso.journalPath;
-    options.resume = iso.resume;
 
     bool ok = false;
     std::string json;
@@ -217,11 +171,7 @@ main(int argc, char **argv)
         conc.torn = options.torn;
         conc.seedBug = options.seedBug;
         conc.jobs = options.jobs;
-        conc.isolate = options.isolate;
-        conc.limits = options.limits;
-        conc.retry = options.retry;
-        conc.journalPath = options.journalPath;
-        conc.resume = options.resume;
+        conc.isolation = options.isolation;
         conc.chaosCrashConfig = options.chaosCrashConfig;
 
         const ConcCheckReport report = runConcCheck(conc);
@@ -237,25 +187,11 @@ main(int argc, char **argv)
             json = modelCheckToJson(report);
     }
     } catch (const SimFaultError &e) {
-        // A structured workload/simulator fault (e.g. the per-core
-        // EDK key partition exhausting at --cores >= 16) is a usage
-        // error at this entry point, not a checker verdict: one-line
-        // diagnostic, exit 2, same contract as malformed flags.
-        const std::string what = e.what();
-        std::fprintf(stderr, "model_check: %s\n",
-                     what.substr(0, what.find('\n')).c_str());
-        return 2;
+        return reportUsageFault("model_check", e);
     }
 
     if (!jsonPath.empty()) {
-        std::ofstream out(jsonPath,
-                          std::ios::binary | std::ios::trunc);
-        if (!out)
-            ede_fatal("cannot write JSON artifact '", jsonPath, "'");
-        out << json;
-        out.close();
-        if (!out)
-            ede_fatal("short write on JSON artifact '", jsonPath, "'");
+        exp::writeArtifactFile(jsonPath, json);
         std::printf("[model-check] wrote %s\n", jsonPath.c_str());
     }
     return ok ? 0 : 1;

@@ -48,12 +48,14 @@ paceDepth(const ConcParams &p)
     return 16 + 2 * p.opsPerCore;
 }
 
+/** Pace-read lines per core: [0x80000, 0x100000) of the 1 MiB arena. */
+constexpr std::uint64_t kPaceSlots = 0x80000 / 64;
+
 /** The @p slot'th pace-read line of core @p core's arena. */
 Addr
 paceRead(unsigned core, int slot)
 {
-    // Pace lines live in [0x80000, 0x100000) of the 1 MiB arena.
-    ede_assert(slot >= 0 && slot < 0x80000 / 64,
+    ede_assert(slot >= 0 && static_cast<std::uint64_t>(slot) < kPaceSlots,
                "pace-read slots exhausted");
     return kConcArenaBase + core * kConcArenaStride + 0x80000 +
            64ull * static_cast<unsigned>(slot);
@@ -737,6 +739,28 @@ buildConcurrentWorkload(ConcApp app, const ConcParams &p)
                 throw SimFaultError(err);
             }
             used[k] = true;
+        }
+    }
+    if (p.paced) {
+        // Every pace quantum reads fresh lines: the preamble's plus
+        // one per round, and a paced run has one round per op.
+        const std::uint64_t rounds =
+            std::uint64_t{p.cores} *
+                static_cast<std::uint64_t>(p.opsPerCore) +
+            1;
+        const std::uint64_t needed =
+            rounds * static_cast<std::uint64_t>(paceDepth(p));
+        if (needed > kPaceSlots) {
+            SimError err;
+            err.kind = SimErrorKind::RunRequestInvalid;
+            err.detail = "paced workload needs " +
+                         std::to_string(needed) +
+                         " pace-read lines per core (cores x "
+                         "ops-per-core + 1 rounds of " +
+                         std::to_string(paceDepth(p)) +
+                         "); the arena holds " +
+                         std::to_string(kPaceSlots);
+            throw SimFaultError(err);
         }
     }
     switch (app) {

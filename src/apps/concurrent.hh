@@ -222,7 +222,10 @@ struct ConcWorkload
  * Build kernel @p app's per-core traces and oracle model
  * (traces.size() == p.cores).  Deterministic in (app, p).  Throws
  * SimFaultError carrying SimErrorKind::CoreCountKeyExhausted when an
- * EDE configuration asks for more cores than there are real keys.
+ * EDE configuration asks for more cores than there are real keys,
+ * and SimErrorKind::RunRequestInvalid (the limit in its detail) when
+ * a paced workload's rounds would outgrow the per-core pace-read
+ * lines -- at 4 cores, beyond 28 ops per core.
  */
 ConcWorkload buildConcurrentWorkload(ConcApp app, const ConcParams &p);
 

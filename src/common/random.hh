@@ -86,6 +86,14 @@ class Rng
     std::uint64_t state_[4];
 };
 
+/** Decorrelated 64-bit stream: one value per (seed, salt) pair. */
+inline std::uint64_t
+mixSeed(std::uint64_t seed, std::uint64_t salt)
+{
+    Rng rng(seed ^ (salt * 0x9e3779b97f4a7c15ull));
+    return rng.next();
+}
+
 } // namespace ede
 
 #endif // EDE_COMMON_RANDOM_HH

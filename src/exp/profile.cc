@@ -3,19 +3,9 @@
 #include <cstdio>
 #include <sstream>
 
+#include "exp/json.hh"
+
 namespace ede {
-
-namespace {
-
-std::string
-jsonDouble(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-} // namespace
 
 std::string
 describeProfile(const HostProfile &profile)
@@ -53,9 +43,9 @@ profileToJson(const HostProfile &profile, const std::string &indent)
     os << indent << "  \"cycles_simulated\": "
        << profile.cyclesSimulated << ",\n";
     os << indent << "  \"cycles_per_host_sec\": "
-       << jsonDouble(profile.cyclesPerHostSecond()) << ",\n";
+       << exp::jsonDouble(profile.cyclesPerHostSecond()) << ",\n";
     os << indent << "  \"skip_ratio\": "
-       << jsonDouble(profile.skipRatio()) << "\n";
+       << exp::jsonDouble(profile.skipRatio()) << "\n";
     os << indent << "}";
     return os.str();
 }

@@ -6,45 +6,13 @@
 
 #include "common/logging.hh"
 #include "exp/fingerprint.hh"
+#include "exp/json.hh"
 #include "exp/profile.hh"
 
 namespace ede {
 namespace exp {
 
 namespace {
-
-/** Minimal JSON string escaping (labels are plain ASCII). */
-std::string
-jsonEscape(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-jsonDouble(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
 
 /**
  * One exact latency record as an inline JSON object.  An empty
@@ -317,16 +285,22 @@ resultsToJson(const std::string &benchName,
 }
 
 void
-writeJsonArtifact(const std::string &path, const std::string &benchName,
-                  const ExperimentResults &results)
+writeArtifactFile(const std::string &path, const std::string &text)
 {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out)
         ede_fatal("cannot write JSON artifact '", path, "'");
-    out << resultsToJson(benchName, results);
+    out << text;
     out.close();
     if (!out)
         ede_fatal("short write on JSON artifact '", path, "'");
+}
+
+void
+writeJsonArtifact(const std::string &path, const std::string &benchName,
+                  const ExperimentResults &results)
+{
+    writeArtifactFile(path, resultsToJson(benchName, results));
     std::printf("[exp] wrote %s (%zu cells)\n", path.c_str(),
                 results.size());
 }

@@ -22,6 +22,9 @@ namespace exp {
 std::string resultsToJson(const std::string &benchName,
                           const ExperimentResults &results);
 
+/** Write @p text to the artifact file @p path (fatal on I/O error). */
+void writeArtifactFile(const std::string &path, const std::string &text);
+
 /**
  * Write @p results as JSON to @p path (fatal on I/O error) and
  * report the artifact on stdout.

@@ -97,6 +97,19 @@ struct RetryPolicy
 };
 
 /**
+ * How a sweep isolates its cells: one forked worker per cell under
+ * @p limits and @p retry, with an optional resumable journal.
+ */
+struct IsolationOptions
+{
+    bool isolate = false;     ///< Fork one worker per cell.
+    WorkerLimits limits;      ///< Per-job timeout / memory cap.
+    RetryPolicy retry;        ///< Transient-failure retry policy.
+    std::string journalPath;  ///< Empty = no journal; needs isolate.
+    bool resume = false;      ///< Replay a compatible journal.
+};
+
+/**
  * True for failure classes worth retrying: Crashed, TimedOut and
  * OutOfMemory can all be artifacts of a loaded host.  SimFault is a
  * deterministic function of the job's inputs and never retried.

@@ -1,15 +1,13 @@
 #include "fault/campaign.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <memory>
 #include <sstream>
 
 #include "apps/harness.hh"
 #include "common/logging.hh"
 #include "exp/fingerprint.hh"
-#include "exp/journal.hh"
+#include "exp/json.hh"
 #include "exp/scheduler.hh"
 #include "fault/crash_image.hh"
 #include "fault/model_check/checker.hh"
@@ -19,31 +17,6 @@
 namespace ede {
 
 namespace {
-
-/** Reverse of configName; nullopt for an unknown name. */
-std::optional<Config>
-configFromName(const std::string &name)
-{
-    for (Config c : kAllConfigs) {
-        if (configName(c) == name)
-            return c;
-    }
-    return std::nullopt;
-}
-
-/** Decorrelated 64-bit stream: one value per (seed, salt) pair. */
-std::uint64_t
-mixSeed(std::uint64_t seed, std::uint64_t salt)
-{
-    Rng rng(seed ^ (salt * 0x9e3779b97f4a7c15ull));
-    return rng.next();
-}
-
-std::uint64_t
-configSalt(Config cfg)
-{
-    return static_cast<std::uint64_t>(cfg) + 1;
-}
 
 /**
  * Candidate crash cycles at persist boundaries (each accept cycle and
@@ -269,89 +242,6 @@ classifyConfig(const CampaignOptions &options, Config cfg,
 
 constexpr const char *kConfigResultMagic = "ede-campaign-config-v1";
 
-/** FaultPlan as whitespace tokens (rate by bit pattern, exact). */
-void
-emitPlan(std::ostream &os, const FaultPlan &p)
-{
-    std::uint64_t rate_bits = 0;
-    std::memcpy(&rate_bits, &p.acceptFaultRate, sizeof(rate_bits));
-    os << p.seed << ' ' << p.drainLines << ' '
-       << static_cast<unsigned>(p.tear) << ' ' << rate_bits << ' '
-       << p.maxConsecutiveRejects;
-}
-
-bool
-readPlan(std::istream &is, FaultPlan &p)
-{
-    std::uint64_t seed = 0, rate_bits = 0;
-    std::uint32_t drain = 0, rejects = 0;
-    unsigned tear = 0;
-    if (!(is >> seed >> drain >> tear >> rate_bits >> rejects))
-        return false;
-    if (tear > static_cast<unsigned>(TearKind::Interleaved))
-        return false;
-    p.seed = seed;
-    p.drainLines = drain;
-    p.tear = static_cast<TearKind>(tear);
-    std::memcpy(&p.acceptFaultRate, &rate_bits, sizeof(double));
-    p.maxConsecutiveRejects = rejects;
-    return true;
-}
-
-/** Minimal JSON string escaping (failure messages, stderr tails). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-jsonDouble(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-void
-emitPlanJson(std::ostream &os, const FaultPlan &p)
-{
-    os << "{\"seed\": " << p.seed << ", \"drain_lines\": "
-       << p.drainLines << ", \"tear\": \"" << tearKindName(p.tear)
-       << "\", \"accept_fault_rate\": "
-       << jsonDouble(p.acceptFaultRate)
-       << ", \"max_consecutive_rejects\": " << p.maxConsecutiveRejects
-       << "}";
-}
-
-/** The worker identity of one (campaign, config) pair. */
-std::uint64_t
-configFingerprint(const CampaignOptions &options, Config cfg)
-{
-    exp::FingerprintHasher h;
-    h.field("campaign.sweep", campaignSweepId(options));
-    h.field("campaign.config", configName(cfg));
-    return h.value();
-}
-
 } // namespace
 
 const char *
@@ -408,10 +298,7 @@ CampaignReport::describe() const
         for (const Reproducer &rep : c.failures)
             os << "    FAILURE " << rep.describe() << "\n";
     }
-    for (const QuarantinedConfig &q : quarantined) {
-        os << "  " << configName(q.config) << ": QUARANTINED ("
-           << q.failure.describe() << ")\n";
-    }
+    describeQuarantined(os, quarantined);
     os << (safeConfigsClean()
                ? "  safe configurations clean (Table III holds)\n"
                : "  SAFE CONFIGURATION FAILURES above\n");
@@ -438,14 +325,14 @@ serializeConfigResult(const CampaignConfigResult &result)
         os << "p " << r.crashCycle << ' '
            << static_cast<int>(r.outcome) << ' ' << r.entriesTorn
            << ' ';
-        emitPlan(os, r.plan);
+        writePlanTokens(os, r.plan);
         os << "\n";
     }
     os << "failures " << result.failures.size() << "\n";
     for (const Reproducer &rep : result.failures) {
         os << "f " << rep.seed << ' ' << configName(rep.config) << ' '
            << rep.crashCycle << ' ';
-        emitPlan(os, rep.plan);
+        writePlanTokens(os, rep.plan);
         os << "\n";
     }
     return os.str();
@@ -490,7 +377,7 @@ deserializeConfigResult(const std::string &text)
               r.entriesTorn) ||
             key != "p" || outcome < 0 ||
             outcome > static_cast<int>(CrashOutcome::Unrecoverable) ||
-            !readPlan(is, r.plan)) {
+            !readPlanTokens(is, r.plan)) {
             return std::nullopt;
         }
         r.outcome = static_cast<CrashOutcome>(outcome);
@@ -503,7 +390,7 @@ deserializeConfigResult(const std::string &text)
     for (std::size_t i = 0; i < n; ++i) {
         Reproducer rep;
         if (!(is >> key >> rep.seed >> name >> rep.crashCycle) ||
-            key != "f" || !readPlan(is, rep.plan)) {
+            key != "f" || !readPlanTokens(is, rep.plan)) {
             return std::nullopt;
         }
         const std::optional<Config> repCfg = configFromName(name);
@@ -552,7 +439,7 @@ campaignToJson(const CampaignReport &report)
        << ", \"ops_per_txn\": " << opt.spec.opsPerTxn
        << ", \"workload_seed\": " << opt.spec.seed
        << ", \"accept_fault_rate\": "
-       << jsonDouble(opt.acceptFaultRate) << "},\n";
+       << exp::jsonDouble(opt.acceptFaultRate) << "},\n";
     os << "  \"configs\": [\n";
     for (std::size_t i = 0; i < report.configs.size(); ++i) {
         const CampaignConfigResult &c = report.configs[i];
@@ -573,7 +460,7 @@ campaignToJson(const CampaignReport &report)
             os << "{\"cycle\": " << r.crashCycle << ", \"outcome\": \""
                << crashOutcomeName(r.outcome) << "\", \"entries_torn\": "
                << r.entriesTorn << ", \"plan\": ";
-            emitPlanJson(os, r.plan);
+            writePlanJson(os, r.plan);
             os << "}";
         }
         os << (c.results.empty() ? "],\n" : "\n      ],\n");
@@ -584,7 +471,7 @@ campaignToJson(const CampaignReport &report)
             os << "{\"seed\": " << rep.seed << ", \"config\": \""
                << configName(rep.config) << "\", \"crash_cycle\": "
                << rep.crashCycle << ", \"plan\": ";
-            emitPlanJson(os, rep.plan);
+            writePlanJson(os, rep.plan);
             os << "}";
         }
         os << (c.failures.empty() ? "]\n" : "\n      ]\n");
@@ -592,145 +479,37 @@ campaignToJson(const CampaignReport &report)
            << (i + 1 < report.configs.size() ? ",\n" : "\n");
     }
     os << "  ],\n";
-    os << "  \"quarantined\": [\n";
-    for (std::size_t i = 0; i < report.quarantined.size(); ++i) {
-        const QuarantinedConfig &q = report.quarantined[i];
-        const exp::JobFailure &f = q.failure;
-        os << "    {\"config\": \"" << configName(q.config)
-           << "\", \"outcome\": \"" << exp::jobOutcomeName(f.outcome)
-           << "\", \"signal\": " << f.signal << ", \"exit_code\": "
-           << f.exitCode << ", \"attempts\": " << f.attempts
-           << ", \"message\": \"" << jsonEscape(f.message)
-           << "\", \"stderr_tail\": \"" << jsonEscape(f.stderrTail)
-           << "\"}"
-           << (i + 1 < report.quarantined.size() ? ",\n" : "\n");
-    }
-    os << "  ],\n";
+    writeQuarantinedJson(os, report.quarantined);
     os << "  \"safe_configs_clean\": "
        << (report.safeConfigsClean() ? "true" : "false") << "\n";
     os << "}\n";
     return os.str();
 }
 
-namespace {
-
-/**
- * The isolated campaign: one forked worker per configuration.  The
- * child simulates and classifies serially (its own inner scheduler is
- * jobs=1) and ships the exact serialization back; the parent fans out
- * across configurations, quarantining any config whose worker keeps
- * failing.  The journal makes the fan-out resumable per config.
- */
 CampaignReport
-runCampaignIsolated(const CampaignOptions &options)
+runCampaign(const CampaignOptions &options)
 {
-    if (!exp::processIsolationSupported())
-        ede_fatal("process isolation is not supported on this platform");
-
-    const std::size_t n = options.configs.size();
-    std::optional<exp::SweepJournal> journal;
-    if (!options.journalPath.empty()) {
-        journal.emplace(options.journalPath, campaignSweepId(options),
-                        n, options.resume);
-    }
-
-    std::vector<std::optional<CampaignConfigResult>> slots(n);
-    std::vector<std::optional<QuarantinedConfig>> poisoned(n);
-    auto quarantine = [&](std::size_t i, Config cfg,
-                          exp::JobFailure failure) {
-        ede_warn("config '", configName(cfg), "' quarantined: ",
-                 failure.describe());
-        if (journal) {
-            journal->recordQuarantine(
-                i, configFingerprint(options, cfg), failure);
-        }
-        poisoned[i] = QuarantinedConfig{cfg, std::move(failure)};
-    };
-
-    auto runConfig = [&](std::size_t i) {
-        const Config cfg = options.configs[i];
-        const std::uint64_t fp = configFingerprint(options, cfg);
-
-        if (journal && options.resume) {
-            const auto it = journal->replayed().find(i);
-            if (it != journal->replayed().end() &&
-                it->second.fingerprint == fp) {
-                const exp::JournalEntry &e = it->second;
-                if (e.ok) {
-                    if (std::optional<CampaignConfigResult> r =
-                            deserializeConfigResult(e.payload);
-                        r && r->config == cfg) {
-                        slots[i] = std::move(*r);
-                        return;
-                    }
-                    // Corrupt payload: fall through and re-run.
-                } else {
-                    poisoned[i] = QuarantinedConfig{cfg, e.failure};
-                    return;
-                }
-            }
-        }
-
-        const exp::WorkerRun run = exp::runWithRetry(
-            [&]() -> std::string {
-                if (!options.chaosCrashConfig.empty() &&
-                    configName(cfg) == options.chaosCrashConfig) {
-                    std::abort();
-                }
-                CampaignOptions child = options;
-                child.jobs = 1;  // The worker *is* the parallel unit.
+    CampaignReport report;
+    report.options = options;
+    const ConfigSweep sweep{"campaign", "campaign",
+                            campaignSweepId(options), options.configs,
+                            options.jobs, options.isolation,
+                            options.chaosCrashConfig};
+    if (sweepIsIsolated(sweep)) {
+        CampaignOptions child = options;
+        child.jobs = 1;  // The worker *is* the parallel unit.
+        runIsolatedConfigs(
+            sweep,
+            [&child](Config cfg) {
                 const std::unique_ptr<WorkloadHarness> h =
                     simulateConfig(child, cfg, /*checked=*/true);
                 return serializeConfigResult(classifyConfig(
                     child, cfg, *h, exp::Scheduler(1)));
             },
-            options.limits, options.retry, /*jitterSeed=*/fp);
-
-        if (run.ok()) {
-            if (std::optional<CampaignConfigResult> r =
-                    deserializeConfigResult(run.payload);
-                r && r->config == cfg) {
-                if (journal)
-                    journal->recordOk(i, fp, run.payload);
-                slots[i] = std::move(*r);
-                return;
-            }
-            exp::JobFailure protocol;
-            protocol.outcome = exp::JobOutcome::Crashed;
-            protocol.attempts = run.failure.attempts;
-            protocol.message =
-                "worker payload failed campaign-result validation";
-            quarantine(i, cfg, std::move(protocol));
-            return;
-        }
-        quarantine(i, cfg, run.failure);
-    };
-
-    const exp::Scheduler sched(options.jobs);
-    sched.run(n, runConfig, exp::FailureMode::KeepGoing);
-
-    CampaignReport report;
-    report.options = options;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (slots[i])
-            report.configs.push_back(std::move(*slots[i]));
-        else if (poisoned[i])
-            report.quarantined.push_back(std::move(*poisoned[i]));
+            deserializeConfigResult, report.configs,
+            report.quarantined);
+        return report;
     }
-    return report;
-}
-
-} // namespace
-
-CampaignReport
-runCampaign(const CampaignOptions &options)
-{
-    if (!options.journalPath.empty() && !options.isolate) {
-        ede_fatal("the campaign journal requires process isolation "
-                  "(--isolate)");
-    }
-    if (options.isolate)
-        return runCampaignIsolated(options);
 
     const exp::Scheduler sched(options.jobs);
 
@@ -743,8 +522,6 @@ runCampaign(const CampaignOptions &options)
 
     // Phase 2: per-point classification, parallel within each
     // configuration, tallied in deterministic point order.
-    CampaignReport report;
-    report.options = options;
     for (std::size_t i = 0; i < options.configs.size(); ++i) {
         report.configs.push_back(classifyConfig(
             options, options.configs[i], *harnesses[i], sched));

@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "apps/driver.hh"
-#include "exp/worker.hh"
+#include "fault/config_sweep.hh"
 #include "fault/fault_plan.hh"
 #include "sim/config.hh"
 
@@ -108,20 +108,10 @@ struct CampaignOptions
      * CampaignConfigResult back; a crash/hang/OOM quarantines that
      * configuration instead of killing the campaign.  Results are
      * bit-identical to the in-process path (the serialization is
-     * exact).
+     * exact).  A journal makes the sweep resumable per config (see
+     * config_sweep.hh).
      */
-    bool isolate = false;
-
-    exp::WorkerLimits limits;  ///< Per-config bounds (isolate only).
-    exp::RetryPolicy retry;    ///< Transient-failure retries.
-
-    /**
-     * Append-only journal of per-config outcomes; empty disables it.
-     * With `resume`, configs already journaled by a compatible run
-     * are replayed instead of re-simulated.  Requires `isolate`.
-     */
-    std::string journalPath;
-    bool resume = false;
+    exp::IsolationOptions isolation;
 
     /**
      * Test/chaos hook: the configuration with this name calls
@@ -129,13 +119,6 @@ struct CampaignOptions
      * chaos job provoke a deterministic quarantine.
      */
     std::string chaosCrashConfig;
-};
-
-/** A configuration whose isolated worker never produced a result. */
-struct QuarantinedConfig
-{
-    Config config = Config::B;
-    exp::JobFailure failure;
 };
 
 /** The whole campaign's outcome. */

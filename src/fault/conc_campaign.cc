@@ -1,15 +1,12 @@
 #include "fault/conc_campaign.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <memory>
 #include <sstream>
 
 #include "common/logging.hh"
-#include "common/random.hh"
 #include "exp/fingerprint.hh"
-#include "exp/journal.hh"
+#include "exp/json.hh"
 #include "exp/scheduler.hh"
 #include "fault/conc_check.hh"
 #include "fault/crash_image.hh"
@@ -18,31 +15,6 @@
 namespace ede {
 
 namespace {
-
-/** Reverse of configName; nullopt for an unknown name. */
-std::optional<Config>
-configFromName(const std::string &name)
-{
-    for (Config c : kAllConfigs) {
-        if (configName(c) == name)
-            return c;
-    }
-    return std::nullopt;
-}
-
-/** Decorrelated 64-bit stream: one value per (seed, salt) pair. */
-std::uint64_t
-mixSeed(std::uint64_t seed, std::uint64_t salt)
-{
-    Rng rng(seed ^ (salt * 0x9e3779b97f4a7c15ull));
-    return rng.next();
-}
-
-std::uint64_t
-configSalt(Config cfg)
-{
-    return static_cast<std::uint64_t>(cfg) + 1;
-}
 
 /**
  * Does some core other than 0 have an accepted persist whose media
@@ -308,35 +280,6 @@ classifyConcConfig(const ConcCampaignOptions &options, Config cfg,
 constexpr const char *kConcCampaignResultMagic =
     "ede-conc-campaign-v1";
 
-/** FaultPlan as whitespace tokens (rate by bit pattern, exact). */
-void
-emitPlan(std::ostream &os, const FaultPlan &p)
-{
-    std::uint64_t rate_bits = 0;
-    std::memcpy(&rate_bits, &p.acceptFaultRate, sizeof(rate_bits));
-    os << p.seed << ' ' << p.drainLines << ' '
-       << static_cast<unsigned>(p.tear) << ' ' << rate_bits << ' '
-       << p.maxConsecutiveRejects;
-}
-
-bool
-readPlan(std::istream &is, FaultPlan &p)
-{
-    std::uint64_t seed = 0, rate_bits = 0;
-    std::uint32_t drain = 0, rejects = 0;
-    unsigned tear = 0;
-    if (!(is >> seed >> drain >> tear >> rate_bits >> rejects))
-        return false;
-    if (tear > static_cast<unsigned>(TearKind::Interleaved))
-        return false;
-    p.seed = seed;
-    p.drainLines = drain;
-    p.tear = static_cast<TearKind>(tear);
-    std::memcpy(&p.acceptFaultRate, &rate_bits, sizeof(double));
-    p.maxConsecutiveRejects = rejects;
-    return true;
-}
-
 /** Invariant names never contain spaces; "-" encodes "none". */
 std::string
 invariantToken(const std::string &invariant)
@@ -348,61 +291,6 @@ std::string
 invariantFromToken(const std::string &token)
 {
     return token == "-" ? "" : token;
-}
-
-/** Minimal JSON string escaping (failure messages, stderr tails). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-jsonDouble(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-void
-emitPlanJson(std::ostream &os, const FaultPlan &p)
-{
-    os << "{\"seed\": " << p.seed << ", \"drain_lines\": "
-       << p.drainLines << ", \"tear\": \"" << tearKindName(p.tear)
-       << "\", \"accept_fault_rate\": "
-       << jsonDouble(p.acceptFaultRate)
-       << ", \"max_consecutive_rejects\": " << p.maxConsecutiveRejects
-       << "}";
-}
-
-/** The worker identity of one (conc campaign, config) pair. */
-std::uint64_t
-concCampaignConfigFingerprint(const ConcCampaignOptions &options,
-                              Config cfg)
-{
-    exp::FingerprintHasher h;
-    h.field("conccampaign.sweep", concCampaignSweepId(options));
-    h.field("conccampaign.config", configName(cfg));
-    return h.value();
 }
 
 } // namespace
@@ -457,10 +345,7 @@ ConcCampaignReport::describe() const
         for (const ConcReproducer &rep : c.failures)
             os << "    FAILURE " << rep.describe() << "\n";
     }
-    for (const QuarantinedConfig &q : quarantined) {
-        os << "  " << configName(q.config) << ": QUARANTINED ("
-           << q.failure.describe() << ")\n";
-    }
+    describeQuarantined(os, quarantined);
     os << (safeConfigsClean()
                ? "  safe configurations clean across cores\n"
                : "  SAFE CONFIGURATION FAILURES above\n");
@@ -488,7 +373,7 @@ serializeConcCampaignResult(const ConcCampaignConfigResult &result)
            << static_cast<int>(r.outcome) << ' '
            << (r.remoteOutstanding ? 1 : 0) << ' '
            << invariantToken(r.invariant) << ' ';
-        emitPlan(os, r.plan);
+        writePlanTokens(os, r.plan);
         os << "\n";
     }
     os << "failures " << result.failures.size() << "\n";
@@ -496,7 +381,7 @@ serializeConcCampaignResult(const ConcCampaignConfigResult &result)
         os << "f " << rep.seed << ' ' << configName(rep.config) << ' '
            << rep.crashCycle << ' ' << invariantToken(rep.invariant)
            << ' ';
-        emitPlan(os, rep.plan);
+        writePlanTokens(os, rep.plan);
         os << "\n";
     }
     return os.str();
@@ -541,7 +426,7 @@ deserializeConcCampaignResult(const std::string &text)
               token) ||
             key != "p" || outcome < 0 ||
             outcome > static_cast<int>(CrashOutcome::Unrecoverable) ||
-            remote < 0 || remote > 1 || !readPlan(is, r.plan)) {
+            remote < 0 || remote > 1 || !readPlanTokens(is, r.plan)) {
             return std::nullopt;
         }
         r.outcome = static_cast<CrashOutcome>(outcome);
@@ -557,7 +442,7 @@ deserializeConcCampaignResult(const std::string &text)
         ConcReproducer rep;
         if (!(is >> key >> rep.seed >> name >> rep.crashCycle >>
               token) ||
-            key != "f" || !readPlan(is, rep.plan)) {
+            key != "f" || !readPlanTokens(is, rep.plan)) {
             return std::nullopt;
         }
         const std::optional<Config> repCfg = configFromName(name);
@@ -610,7 +495,7 @@ concCampaignToJson(const ConcCampaignReport &report)
        << ", \"workload_seed\": " << opt.workloadSeed
        << ", \"media_factor\": " << opt.mediaFactor
        << ", \"accept_fault_rate\": "
-       << jsonDouble(opt.acceptFaultRate) << "},\n";
+       << exp::jsonDouble(opt.acceptFaultRate) << "},\n";
     os << "  \"configs\": [\n";
     for (std::size_t i = 0; i < report.configs.size(); ++i) {
         const ConcCampaignConfigResult &c = report.configs[i];
@@ -636,9 +521,9 @@ concCampaignToJson(const ConcCampaignReport &report)
             if (r.invariant.empty())
                 os << "null";
             else
-                os << '"' << jsonEscape(r.invariant) << '"';
+                os << '"' << exp::jsonEscape(r.invariant) << '"';
             os << ", \"plan\": ";
-            emitPlanJson(os, r.plan);
+            writePlanJson(os, r.plan);
             os << "}";
         }
         os << (c.results.empty() ? "],\n" : "\n      ],\n");
@@ -652,9 +537,9 @@ concCampaignToJson(const ConcCampaignReport &report)
             if (rep.invariant.empty())
                 os << "null";
             else
-                os << '"' << jsonEscape(rep.invariant) << '"';
+                os << '"' << exp::jsonEscape(rep.invariant) << '"';
             os << ", \"plan\": ";
-            emitPlanJson(os, rep.plan);
+            writePlanJson(os, rep.plan);
             os << "}";
         }
         os << (c.failures.empty() ? "]\n" : "\n      ]\n");
@@ -662,20 +547,7 @@ concCampaignToJson(const ConcCampaignReport &report)
            << (i + 1 < report.configs.size() ? ",\n" : "\n");
     }
     os << "  ],\n";
-    os << "  \"quarantined\": [\n";
-    for (std::size_t i = 0; i < report.quarantined.size(); ++i) {
-        const QuarantinedConfig &q = report.quarantined[i];
-        const exp::JobFailure &f = q.failure;
-        os << "    {\"config\": \"" << configName(q.config)
-           << "\", \"outcome\": \"" << exp::jobOutcomeName(f.outcome)
-           << "\", \"signal\": " << f.signal << ", \"exit_code\": "
-           << f.exitCode << ", \"attempts\": " << f.attempts
-           << ", \"message\": \"" << jsonEscape(f.message)
-           << "\", \"stderr_tail\": \"" << jsonEscape(f.stderrTail)
-           << "\"}"
-           << (i + 1 < report.quarantined.size() ? ",\n" : "\n");
-    }
-    os << "  ],\n";
+    writeQuarantinedJson(os, report.quarantined);
     os << "  \"safe_configs_clean\": "
        << (report.safeConfigsClean() ? "true" : "false") << ",\n";
     os << "  \"ok\": " << (report.ok() ? "true" : "false") << "\n";
@@ -683,126 +555,30 @@ concCampaignToJson(const ConcCampaignReport &report)
     return os.str();
 }
 
-namespace {
-
-/**
- * The isolated multi-core campaign: one forked worker per
- * configuration, exact wire payloads journaled per config,
- * quarantine on persistent worker failure -- the PR-5 contract.
- */
 ConcCampaignReport
-runConcCampaignIsolated(const ConcCampaignOptions &options)
+runConcCampaign(const ConcCampaignOptions &options)
 {
-    if (!exp::processIsolationSupported())
-        ede_fatal("process isolation is not supported on this platform");
-
-    const std::size_t n = options.configs.size();
-    std::optional<exp::SweepJournal> journal;
-    if (!options.journalPath.empty()) {
-        journal.emplace(options.journalPath,
-                        concCampaignSweepId(options), n,
-                        options.resume);
-    }
-
-    std::vector<std::optional<ConcCampaignConfigResult>> slots(n);
-    std::vector<std::optional<QuarantinedConfig>> poisoned(n);
-    auto quarantine = [&](std::size_t i, Config cfg,
-                          exp::JobFailure failure) {
-        ede_warn("config '", configName(cfg), "' quarantined: ",
-                 failure.describe());
-        if (journal) {
-            journal->recordQuarantine(
-                i, concCampaignConfigFingerprint(options, cfg),
-                failure);
-        }
-        poisoned[i] = QuarantinedConfig{cfg, std::move(failure)};
-    };
-
-    auto runConfig = [&](std::size_t i) {
-        const Config cfg = options.configs[i];
-        const std::uint64_t fp =
-            concCampaignConfigFingerprint(options, cfg);
-
-        if (journal && options.resume) {
-            const auto it = journal->replayed().find(i);
-            if (it != journal->replayed().end() &&
-                it->second.fingerprint == fp) {
-                const exp::JournalEntry &e = it->second;
-                if (e.ok) {
-                    if (std::optional<ConcCampaignConfigResult> r =
-                            deserializeConcCampaignResult(e.payload);
-                        r && r->config == cfg) {
-                        slots[i] = std::move(*r);
-                        return;
-                    }
-                    // Corrupt payload: fall through and re-run.
-                } else {
-                    poisoned[i] = QuarantinedConfig{cfg, e.failure};
-                    return;
-                }
-            }
-        }
-
-        const exp::WorkerRun run = exp::runWithRetry(
-            [&]() -> std::string {
-                if (!options.chaosCrashConfig.empty() &&
-                    configName(cfg) == options.chaosCrashConfig) {
-                    std::abort();
-                }
-                ConcCampaignOptions child = options;
-                child.jobs = 1;  // The worker *is* the parallel unit.
+    ConcCampaignReport report;
+    report.options = options;
+    const ConfigSweep sweep{"conc-campaign", "conccampaign",
+                            concCampaignSweepId(options),
+                            options.configs, options.jobs,
+                            options.isolation, options.chaosCrashConfig};
+    if (sweepIsIsolated(sweep)) {
+        ConcCampaignOptions child = options;
+        child.jobs = 1;  // The worker *is* the parallel unit.
+        runIsolatedConfigs(
+            sweep,
+            [&child](Config cfg) {
                 const SimulatedConcCampaign sim =
                     simulateConcCampaignConfig(child, cfg);
                 return serializeConcCampaignResult(classifyConcConfig(
                     child, cfg, sim, exp::Scheduler(1)));
             },
-            options.limits, options.retry, /*jitterSeed=*/fp);
-
-        if (run.ok()) {
-            if (std::optional<ConcCampaignConfigResult> r =
-                    deserializeConcCampaignResult(run.payload);
-                r && r->config == cfg) {
-                if (journal)
-                    journal->recordOk(i, fp, run.payload);
-                slots[i] = std::move(*r);
-                return;
-            }
-            exp::JobFailure protocol;
-            protocol.outcome = exp::JobOutcome::Crashed;
-            protocol.attempts = run.failure.attempts;
-            protocol.message =
-                "worker payload failed conc-campaign validation";
-            quarantine(i, cfg, std::move(protocol));
-            return;
-        }
-        quarantine(i, cfg, run.failure);
-    };
-
-    const exp::Scheduler sched(options.jobs);
-    sched.run(n, runConfig, exp::FailureMode::KeepGoing);
-
-    ConcCampaignReport report;
-    report.options = options;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (slots[i])
-            report.configs.push_back(std::move(*slots[i]));
-        else if (poisoned[i])
-            report.quarantined.push_back(std::move(*poisoned[i]));
+            deserializeConcCampaignResult, report.configs,
+            report.quarantined);
+        return report;
     }
-    return report;
-}
-
-} // namespace
-
-ConcCampaignReport
-runConcCampaign(const ConcCampaignOptions &options)
-{
-    if (!options.journalPath.empty() && !options.isolate) {
-        ede_fatal("the conc-campaign journal requires process "
-                  "isolation (--isolate)");
-    }
-    if (options.isolate)
-        return runConcCampaignIsolated(options);
 
     const exp::Scheduler sched(options.jobs);
 
@@ -816,8 +592,6 @@ runConcCampaign(const ConcCampaignOptions &options)
 
     // Phase 2: per-point classification, parallel within each
     // configuration, tallied in deterministic point order.
-    ConcCampaignReport report;
-    report.options = options;
     for (std::size_t i = 0; i < options.configs.size(); ++i) {
         report.configs.push_back(classifyConcConfig(
             options, options.configs[i], sims[i], sched));

@@ -14,13 +14,12 @@
  * toward that window (remote-outstanding points get ~3/4 of the
  * budget); each image is reconstructed by the shared frontier-torn
  * crash-image builder against the *joint* persist order
- * (multicore_order.hh) and judged by the kernels' recovery oracles
- * (checkConcInvariants).
+ * (buildJointPersistOrder) and judged by the kernels' recovery
+ * oracles (checkConcInvariants).
  *
- * The isolation/journal/quarantine contract is the single-core
- * campaign's: one forked worker per configuration, exact wire
- * payloads journaled per config, so a SIGKILLed multi-core sweep
- * resumes byte-identically.
+ * Isolation, journaling and quarantine go through the per-config
+ * sweep loop all four crash tools share (config_sweep.hh), so a
+ * SIGKILLed multi-core sweep resumes byte-identically.
  */
 
 #ifndef EDE_FAULT_CONC_CAMPAIGN_HH
@@ -32,7 +31,6 @@
 #include <vector>
 
 #include "apps/conc_harness.hh"
-#include "exp/worker.hh"
 #include "fault/campaign.hh"
 
 namespace ede {
@@ -97,15 +95,8 @@ struct ConcCampaignOptions
                                 kAllConfigs.end()};
     unsigned jobs = 1;
 
-    /** @name Process isolation (same contract as CampaignOptions). */
-    /// @{
-    bool isolate = false;
-    exp::WorkerLimits limits;
-    exp::RetryPolicy retry;
-    std::string journalPath;  ///< Requires isolate; empty disables.
-    bool resume = false;
-    std::string chaosCrashConfig;  ///< Worker abort() hook (tests/CI).
-    /// @}
+    exp::IsolationOptions isolation;  ///< As in CampaignOptions.
+    std::string chaosCrashConfig;     ///< Worker abort() hook (tests/CI).
 };
 
 /** The whole multi-core campaign's outcome. */

@@ -5,69 +5,13 @@
 #include <sstream>
 
 #include "common/logging.hh"
-#include "common/random.hh"
 #include "exp/fingerprint.hh"
-#include "exp/journal.hh"
+#include "exp/json.hh"
 #include "exp/scheduler.hh"
 #include "fault/model_check/checker.hh"
 #include "fault/model_check/enumerate.hh"
-#include "fault/model_check/multicore_order.hh"
 
 namespace ede {
-
-namespace {
-
-/** Reverse of configName; nullopt for an unknown name. */
-std::optional<Config>
-configFromName(const std::string &name)
-{
-    for (Config c : kAllConfigs) {
-        if (configName(c) == name)
-            return c;
-    }
-    return std::nullopt;
-}
-
-/** Decorrelated 64-bit stream: one value per (seed, salt) pair. */
-std::uint64_t
-mixSeed(std::uint64_t seed, std::uint64_t salt)
-{
-    Rng rng(seed ^ (salt * 0x9e3779b97f4a7c15ull));
-    return rng.next();
-}
-
-std::uint64_t
-configSalt(Config cfg)
-{
-    return static_cast<std::uint64_t>(cfg) + 1;
-}
-
-/** Minimal JSON string escaping. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 PersistOrderGraph
 buildConcPersistOrder(const ConcurrentHarness &h)
@@ -75,7 +19,7 @@ buildConcPersistOrder(const ConcurrentHarness &h)
     return buildJointPersistOrder(
         h.traces(), h.system().persistEvents(),
         h.system().mediaWriteEvents(), h.completionMatrix(),
-        h.mediaLineBytes());
+        /*setupCompleteCycle=*/0, h.mediaLineBytes());
 }
 
 SeededConcBug
@@ -261,16 +205,6 @@ checkConcConfig(const ConcCheckOptions &options, Config cfg,
 
 constexpr const char *kConcCheckResultMagic = "ede-concheck-config-v1";
 
-/** The worker identity of one (conc check, config) pair. */
-std::uint64_t
-concConfigFingerprint(const ConcCheckOptions &options, Config cfg)
-{
-    exp::FingerprintHasher h;
-    h.field("concheck.sweep", concCheckSweepId(options));
-    h.field("concheck.config", configName(cfg));
-    return h.value();
-}
-
 } // namespace
 
 bool
@@ -334,10 +268,7 @@ ConcCheckReport::describe() const
         for (const ConcCounterexample &cex : c.counterexamples)
             os << "    COUNTEREXAMPLE " << cex.describe() << "\n";
     }
-    for (const QuarantinedConfig &q : quarantined) {
-        os << "  " << configName(q.config) << ": QUARANTINED ("
-           << q.failure.describe() << ")\n";
-    }
+    describeQuarantined(os, quarantined);
     os << (ok() ? "  conc check ok\n" : "  CONC CHECK FAILED\n");
     return os.str();
 }
@@ -521,7 +452,7 @@ concCheckToJson(const ConcCheckReport &report)
         for (std::size_t j = 0; j < c.counterexamples.size(); ++j) {
             const ConcCounterexample &cex = c.counterexamples[j];
             os << (j ? ",\n        " : "\n        ");
-            os << "{\"invariant\": \"" << jsonEscape(cex.invariant)
+            os << "{\"invariant\": \"" << exp::jsonEscape(cex.invariant)
                << "\", \"durable\": [";
             for (std::size_t k = 0; k < cex.durable.size(); ++k)
                 os << (k ? ", " : "") << cex.durable[k];
@@ -538,155 +469,40 @@ concCheckToJson(const ConcCheckReport &report)
            << (i + 1 < report.configs.size() ? ",\n" : "\n");
     }
     os << "  ],\n";
-    os << "  \"quarantined\": [\n";
-    for (std::size_t i = 0; i < report.quarantined.size(); ++i) {
-        const QuarantinedConfig &q = report.quarantined[i];
-        const exp::JobFailure &f = q.failure;
-        os << "    {\"config\": \"" << configName(q.config)
-           << "\", \"outcome\": \"" << exp::jobOutcomeName(f.outcome)
-           << "\", \"signal\": " << f.signal << ", \"exit_code\": "
-           << f.exitCode << ", \"attempts\": " << f.attempts
-           << ", \"message\": \"" << jsonEscape(f.message)
-           << "\", \"stderr_tail\": \"" << jsonEscape(f.stderrTail)
-           << "\"}"
-           << (i + 1 < report.quarantined.size() ? ",\n" : "\n");
-    }
-    os << "  ],\n";
+    writeQuarantinedJson(os, report.quarantined);
     os << "  \"ok\": " << (report.ok() ? "true" : "false") << "\n";
     os << "}\n";
     return os.str();
 }
 
-namespace {
-
-/**
- * The isolated cross-core check: one forked worker per
- * configuration, mirroring the single-core model check's contract --
- * exact wire serialization, per-config journal entries, quarantine
- * on persistent worker failure.
- */
-ConcCheckReport
-runConcCheckIsolated(const ConcCheckOptions &options)
-{
-    if (!exp::processIsolationSupported())
-        ede_fatal("process isolation is not supported on this platform");
-
-    const std::size_t n = options.configs.size();
-    std::optional<exp::SweepJournal> journal;
-    if (!options.journalPath.empty()) {
-        journal.emplace(options.journalPath, concCheckSweepId(options),
-                        n, options.resume);
-    }
-
-    std::vector<std::optional<ConcCheckConfigResult>> slots(n);
-    std::vector<std::optional<QuarantinedConfig>> poisoned(n);
-    auto quarantine = [&](std::size_t i, Config cfg,
-                          exp::JobFailure failure) {
-        ede_warn("config '", configName(cfg), "' quarantined: ",
-                 failure.describe());
-        if (journal) {
-            journal->recordQuarantine(
-                i, concConfigFingerprint(options, cfg), failure);
-        }
-        poisoned[i] = QuarantinedConfig{cfg, std::move(failure)};
-    };
-
-    auto runConfig = [&](std::size_t i) {
-        const Config cfg = options.configs[i];
-        const std::uint64_t fp = concConfigFingerprint(options, cfg);
-
-        if (journal && options.resume) {
-            const auto it = journal->replayed().find(i);
-            if (it != journal->replayed().end() &&
-                it->second.fingerprint == fp) {
-                const exp::JournalEntry &e = it->second;
-                if (e.ok) {
-                    if (std::optional<ConcCheckConfigResult> r =
-                            deserializeConcCheckResult(e.payload);
-                        r && r->config == cfg) {
-                        slots[i] = std::move(*r);
-                        return;
-                    }
-                    // Corrupt payload: fall through and re-run.
-                } else {
-                    poisoned[i] = QuarantinedConfig{cfg, e.failure};
-                    return;
-                }
-            }
-        }
-
-        const exp::WorkerRun run = exp::runWithRetry(
-            [&]() -> std::string {
-                if (!options.chaosCrashConfig.empty() &&
-                    configName(cfg) == options.chaosCrashConfig) {
-                    std::abort();
-                }
-                const SimulatedConc sim =
-                    simulateConcConfig(options, cfg);
-                return serializeConcCheckResult(
-                    checkConcConfig(options, cfg, sim));
-            },
-            options.limits, options.retry, /*jitterSeed=*/fp);
-
-        if (run.ok()) {
-            if (std::optional<ConcCheckConfigResult> r =
-                    deserializeConcCheckResult(run.payload);
-                r && r->config == cfg) {
-                if (journal)
-                    journal->recordOk(i, fp, run.payload);
-                slots[i] = std::move(*r);
-                return;
-            }
-            exp::JobFailure protocol;
-            protocol.outcome = exp::JobOutcome::Crashed;
-            protocol.attempts = run.failure.attempts;
-            protocol.message =
-                "worker payload failed conc-check validation";
-            quarantine(i, cfg, std::move(protocol));
-            return;
-        }
-        quarantine(i, cfg, run.failure);
-    };
-
-    const exp::Scheduler sched(options.jobs);
-    sched.run(n, runConfig, exp::FailureMode::KeepGoing);
-
-    ConcCheckReport report;
-    report.options = options;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (slots[i])
-            report.configs.push_back(std::move(*slots[i]));
-        else if (poisoned[i])
-            report.quarantined.push_back(std::move(*poisoned[i]));
-    }
-    return report;
-}
-
-} // namespace
-
 ConcCheckReport
 runConcCheck(const ConcCheckOptions &options)
 {
-    if (!options.journalPath.empty() && !options.isolate) {
-        ede_fatal("the conc-check journal requires process "
-                  "isolation (--isolate)");
-    }
-    if (options.isolate)
-        return runConcCheckIsolated(options);
-
-    const exp::Scheduler sched(options.jobs);
-    std::vector<ConcCheckConfigResult> results =
-        sched.map<ConcCheckConfigResult>(
-            options.configs.size(), [&](std::size_t i) {
-                const SimulatedConc sim =
-                    simulateConcConfig(options, options.configs[i]);
-                return checkConcConfig(options, options.configs[i],
-                                       sim);
-            });
-
     ConcCheckReport report;
     report.options = options;
-    report.configs = std::move(results);
+    const ConfigSweep sweep{"conc-check", "concheck",
+                            concCheckSweepId(options), options.configs,
+                            options.jobs, options.isolation,
+                            options.chaosCrashConfig};
+    if (sweepIsIsolated(sweep)) {
+        runIsolatedConfigs(
+            sweep,
+            [&options](Config cfg) {
+                return serializeConcCheckResult(checkConcConfig(
+                    options, cfg, simulateConcConfig(options, cfg)));
+            },
+            deserializeConcCheckResult, report.configs,
+            report.quarantined);
+        return report;
+    }
+
+    const exp::Scheduler sched(options.jobs);
+    report.configs = sched.map<ConcCheckConfigResult>(
+        options.configs.size(), [&](std::size_t i) {
+            const Config cfg = options.configs[i];
+            return checkConcConfig(options, cfg,
+                                   simulateConcConfig(options, cfg));
+        });
     return report;
 }
 

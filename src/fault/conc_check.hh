@@ -7,7 +7,7 @@
  * through undo-log recovery.  This is its N-core counterpart: one
  * *joint* partial order spans every core's persist events (per-core
  * chains joined by cross-core WAIT edges and shared-L2 dirty-handoff
- * same-line edges, multicore_order.hh), cross-core durable sets are
+ * same-line edges, buildJointPersistOrder), cross-core durable sets are
  * the ideals of that joint lattice, and each materialized crash image
  * is judged by the concurrent kernels' recovery oracles
  * (checkConcInvariants) -- there is no undo log; the structures are
@@ -36,8 +36,8 @@
 #include <vector>
 
 #include "apps/conc_harness.hh"
-#include "exp/worker.hh"
-#include "fault/campaign.hh"
+#include "fault/config_sweep.hh"
+#include "fault/fault_plan.hh"
 #include "fault/model_check/persist_order.hh"
 
 namespace ede {
@@ -130,15 +130,8 @@ struct ConcCheckOptions
     std::size_t maxCounterexamples = 4;
     unsigned jobs = 1;
 
-    /** @name Process isolation (same contract as CampaignOptions). */
-    /// @{
-    bool isolate = false;
-    exp::WorkerLimits limits;
-    exp::RetryPolicy retry;
-    std::string journalPath;  ///< Requires isolate; empty disables.
-    bool resume = false;
-    std::string chaosCrashConfig;  ///< Worker abort() hook (tests/CI).
-    /// @}
+    exp::IsolationOptions isolation;  ///< As in CampaignOptions.
+    std::string chaosCrashConfig;     ///< Worker abort() hook (tests/CI).
 };
 
 /** The whole cross-core model check's outcome. */

@@ -32,6 +32,7 @@
 #define EDE_FAULT_FAULT_PLAN_HH
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 
 #include "common/random.hh"
@@ -81,6 +82,19 @@ struct FaultPlan
     /** Compact single-line rendering for reproducer tuples. */
     std::string describe() const;
 };
+
+/** @name FaultPlan wire and JSON forms (crash-tool artifacts). */
+/// @{
+
+/** @p p as whitespace tokens (the rate by bit pattern, so exact). */
+void writePlanTokens(std::ostream &os, const FaultPlan &p);
+
+/** Inverse of writePlanTokens; false on any malformation. */
+bool readPlanTokens(std::istream &is, FaultPlan &p);
+
+/** @p p as one inline JSON object. */
+void writePlanJson(std::ostream &os, const FaultPlan &p);
+/// @}
 
 /**
  * Derive a crash-point fault plan from @p seed: a drain budget in

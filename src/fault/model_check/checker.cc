@@ -1,8 +1,6 @@
 #include "fault/model_check/checker.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <memory>
 #include <sstream>
 #include <unordered_map>
@@ -10,38 +8,13 @@
 #include "audit/auditor.hh"
 #include "common/logging.hh"
 #include "exp/fingerprint.hh"
-#include "exp/journal.hh"
+#include "exp/json.hh"
 #include "exp/scheduler.hh"
 #include "nvm/undo_log.hh"
 
 namespace ede {
 
 namespace {
-
-/** Reverse of configName; nullopt for an unknown name. */
-std::optional<Config>
-configFromName(const std::string &name)
-{
-    for (Config c : kAllConfigs) {
-        if (configName(c) == name)
-            return c;
-    }
-    return std::nullopt;
-}
-
-/** Decorrelated 64-bit stream: one value per (seed, salt) pair. */
-std::uint64_t
-mixSeed(std::uint64_t seed, std::uint64_t salt)
-{
-    Rng rng(seed ^ (salt * 0x9e3779b97f4a7c15ull));
-    return rng.next();
-}
-
-std::uint64_t
-configSalt(Config cfg)
-{
-    return static_cast<std::uint64_t>(cfg) + 1;
-}
 
 /** Write the surviving 8-byte chunks of a torn event. */
 void
@@ -59,40 +32,15 @@ applyTornEvent(MemoryImage &image, const PersistEvent &ev,
     }
 }
 
-/** Minimal JSON string escaping. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 } // namespace
 
 PersistOrderGraph
 buildPersistOrder(const WorkloadHarness &h)
 {
     const System &sys = h.system();
-    return buildPersistOrder(
-        h.trace(), sys.persistEvents(), sys.mediaWriteEvents(),
-        sys.completionCycles(), h.setupCompleteCycle(),
+    return buildJointPersistOrder(
+        {&h.trace(), 1}, sys.persistEvents(), sys.mediaWriteEvents(),
+        {&sys.completionCycles(), 1}, h.setupCompleteCycle(),
         sys.mem().controller().nvm().params().lineBytes);
 }
 
@@ -428,16 +376,6 @@ checkConfig(const ModelCheckOptions &options, Config cfg,
 constexpr const char *kModelCheckResultMagic =
     "ede-modelcheck-config-v1";
 
-/** The worker identity of one (model check, config) pair. */
-std::uint64_t
-configFingerprint(const ModelCheckOptions &options, Config cfg)
-{
-    exp::FingerprintHasher h;
-    h.field("modelcheck.sweep", modelCheckSweepId(options));
-    h.field("modelcheck.config", configName(cfg));
-    return h.value();
-}
-
 } // namespace
 
 bool
@@ -493,10 +431,7 @@ ModelCheckReport::describe() const
         for (const ModelCheckCounterexample &cex : c.counterexamples)
             os << "    COUNTEREXAMPLE " << cex.describe() << "\n";
     }
-    for (const QuarantinedConfig &q : quarantined) {
-        os << "  " << configName(q.config) << ": QUARANTINED ("
-           << q.failure.describe() << ")\n";
-    }
+    describeQuarantined(os, quarantined);
     os << (ok() ? "  model check ok\n" : "  MODEL CHECK FAILED\n");
     return os.str();
 }
@@ -692,7 +627,7 @@ modelCheckToJson(const ModelCheckReport &report)
             const ModelCheckCounterexample &cex =
                 c.counterexamples[j];
             os << (j ? ",\n        " : "\n        ");
-            os << "{\"invariant\": \"" << jsonEscape(cex.invariant)
+            os << "{\"invariant\": \"" << exp::jsonEscape(cex.invariant)
                << "\", \"durable\": [";
             for (std::size_t k = 0; k < cex.durable.size(); ++k)
                 os << (k ? ", " : "") << cex.durable[k];
@@ -715,154 +650,42 @@ modelCheckToJson(const ModelCheckReport &report)
            << (i + 1 < report.configs.size() ? ",\n" : "\n");
     }
     os << "  ],\n";
-    os << "  \"quarantined\": [\n";
-    for (std::size_t i = 0; i < report.quarantined.size(); ++i) {
-        const QuarantinedConfig &q = report.quarantined[i];
-        const exp::JobFailure &f = q.failure;
-        os << "    {\"config\": \"" << configName(q.config)
-           << "\", \"outcome\": \"" << exp::jobOutcomeName(f.outcome)
-           << "\", \"signal\": " << f.signal << ", \"exit_code\": "
-           << f.exitCode << ", \"attempts\": " << f.attempts
-           << ", \"message\": \"" << jsonEscape(f.message)
-           << "\", \"stderr_tail\": \"" << jsonEscape(f.stderrTail)
-           << "\"}"
-           << (i + 1 < report.quarantined.size() ? ",\n" : "\n");
-    }
-    os << "  ],\n";
+    writeQuarantinedJson(os, report.quarantined);
     os << "  \"ok\": " << (report.ok() ? "true" : "false") << "\n";
     os << "}\n";
     return os.str();
 }
 
-namespace {
-
-/**
- * The isolated model check: one forked worker per configuration,
- * mirroring the campaign's contract -- exact wire serialization,
- * per-config journal entries, quarantine on persistent worker
- * failure.
- */
-ModelCheckReport
-runModelCheckIsolated(const ModelCheckOptions &options)
-{
-    if (!exp::processIsolationSupported())
-        ede_fatal("process isolation is not supported on this platform");
-
-    const std::size_t n = options.configs.size();
-    std::optional<exp::SweepJournal> journal;
-    if (!options.journalPath.empty()) {
-        journal.emplace(options.journalPath,
-                        modelCheckSweepId(options), n, options.resume);
-    }
-
-    std::vector<std::optional<ModelCheckConfigResult>> slots(n);
-    std::vector<std::optional<QuarantinedConfig>> poisoned(n);
-    auto quarantine = [&](std::size_t i, Config cfg,
-                          exp::JobFailure failure) {
-        ede_warn("config '", configName(cfg), "' quarantined: ",
-                 failure.describe());
-        if (journal) {
-            journal->recordQuarantine(
-                i, configFingerprint(options, cfg), failure);
-        }
-        poisoned[i] = QuarantinedConfig{cfg, std::move(failure)};
-    };
-
-    auto runConfig = [&](std::size_t i) {
-        const Config cfg = options.configs[i];
-        const std::uint64_t fp = configFingerprint(options, cfg);
-
-        if (journal && options.resume) {
-            const auto it = journal->replayed().find(i);
-            if (it != journal->replayed().end() &&
-                it->second.fingerprint == fp) {
-                const exp::JournalEntry &e = it->second;
-                if (e.ok) {
-                    if (std::optional<ModelCheckConfigResult> r =
-                            deserializeModelCheckResult(e.payload);
-                        r && r->config == cfg) {
-                        slots[i] = std::move(*r);
-                        return;
-                    }
-                    // Corrupt payload: fall through and re-run.
-                } else {
-                    poisoned[i] = QuarantinedConfig{cfg, e.failure};
-                    return;
-                }
-            }
-        }
-
-        const exp::WorkerRun run = exp::runWithRetry(
-            [&]() -> std::string {
-                if (!options.chaosCrashConfig.empty() &&
-                    configName(cfg) == options.chaosCrashConfig) {
-                    std::abort();
-                }
-                const SimulatedConfig sim =
-                    simulateConfig(options, cfg, /*checked=*/true);
-                return serializeModelCheckResult(
-                    checkConfig(options, cfg, sim));
-            },
-            options.limits, options.retry, /*jitterSeed=*/fp);
-
-        if (run.ok()) {
-            if (std::optional<ModelCheckConfigResult> r =
-                    deserializeModelCheckResult(run.payload);
-                r && r->config == cfg) {
-                if (journal)
-                    journal->recordOk(i, fp, run.payload);
-                slots[i] = std::move(*r);
-                return;
-            }
-            exp::JobFailure protocol;
-            protocol.outcome = exp::JobOutcome::Crashed;
-            protocol.attempts = run.failure.attempts;
-            protocol.message =
-                "worker payload failed model-check validation";
-            quarantine(i, cfg, std::move(protocol));
-            return;
-        }
-        quarantine(i, cfg, run.failure);
-    };
-
-    const exp::Scheduler sched(options.jobs);
-    sched.run(n, runConfig, exp::FailureMode::KeepGoing);
-
-    ModelCheckReport report;
-    report.options = options;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (slots[i])
-            report.configs.push_back(std::move(*slots[i]));
-        else if (poisoned[i])
-            report.quarantined.push_back(std::move(*poisoned[i]));
-    }
-    return report;
-}
-
-} // namespace
-
 ModelCheckReport
 runModelCheck(const ModelCheckOptions &options)
 {
-    if (!options.journalPath.empty() && !options.isolate) {
-        ede_fatal("the model-check journal requires process "
-                  "isolation (--isolate)");
-    }
-    if (options.isolate)
-        return runModelCheckIsolated(options);
-
-    const exp::Scheduler sched(options.jobs);
-    std::vector<ModelCheckConfigResult> results =
-        sched.map<ModelCheckConfigResult>(
-            options.configs.size(), [&](std::size_t i) {
-                const SimulatedConfig sim = simulateConfig(
-                    options, options.configs[i], /*checked=*/false);
-                return checkConfig(options, options.configs[i], sim);
-            });
-
     ModelCheckReport report;
     report.options = options;
-    report.configs = std::move(results);
+    const ConfigSweep sweep{"model-check", "modelcheck",
+                            modelCheckSweepId(options), options.configs,
+                            options.jobs, options.isolation,
+                            options.chaosCrashConfig};
+    if (sweepIsIsolated(sweep)) {
+        runIsolatedConfigs(
+            sweep,
+            [&options](Config cfg) {
+                return serializeModelCheckResult(checkConfig(
+                    options, cfg,
+                    simulateConfig(options, cfg, /*checked=*/true)));
+            },
+            deserializeModelCheckResult, report.configs,
+            report.quarantined);
+        return report;
+    }
+
+    const exp::Scheduler sched(options.jobs);
+    report.configs = sched.map<ModelCheckConfigResult>(
+        options.configs.size(), [&](std::size_t i) {
+            const Config cfg = options.configs[i];
+            return checkConfig(
+                options, cfg,
+                simulateConfig(options, cfg, /*checked=*/false));
+        });
     return report;
 }
 

@@ -33,14 +33,17 @@
 #include <vector>
 
 #include "apps/harness.hh"
-#include "exp/worker.hh"
-#include "fault/campaign.hh"
+#include "fault/config_sweep.hh"
+#include "fault/fault_plan.hh"
 #include "fault/model_check/enumerate.hh"
 #include "fault/model_check/persist_order.hh"
 
 namespace ede {
 
-/** Derive the persist-order graph of a completed, audited run. */
+/**
+ * Derive the persist-order graph of a completed, audited run: the
+ * one-core case of buildJointPersistOrder.
+ */
 PersistOrderGraph buildPersistOrder(const WorkloadHarness &h);
 
 /**
@@ -128,15 +131,8 @@ struct ModelCheckOptions
     /** Parallel jobs for the per-config phase (0 = hardware). */
     unsigned jobs = 1;
 
-    /** @name Process isolation (same contract as CampaignOptions). */
-    /// @{
-    bool isolate = false;
-    exp::WorkerLimits limits;
-    exp::RetryPolicy retry;
-    std::string journalPath;  ///< Requires isolate; empty disables.
-    bool resume = false;
-    std::string chaosCrashConfig;  ///< Worker abort() hook (tests/CI).
-    /// @}
+    exp::IsolationOptions isolation;  ///< As in CampaignOptions.
+    std::string chaosCrashConfig;     ///< Worker abort() hook (tests/CI).
 };
 
 /** The whole model check's outcome. */

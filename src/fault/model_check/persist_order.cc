@@ -1,6 +1,7 @@
 #include "fault/model_check/persist_order.hh"
 
 #include <algorithm>
+#include <array>
 #include <unordered_map>
 
 #include "common/logging.hh"
@@ -27,6 +28,14 @@ struct GateEntry
 {
     std::vector<std::size_t> producers; ///< Persist events to follow.
     std::size_t storeIdx = 0;           ///< Trace index of the store.
+    unsigned core = 0;                  ///< Core that ran the store.
+};
+
+/** One CVAP event naming a key, for the cross-core WAIT join. */
+struct KeyedEvent
+{
+    Cycle completion = kNoCycle;  ///< The CVAP's completion cycle.
+    std::size_t ev = 0;           ///< Its persist event index.
 };
 
 } // namespace
@@ -70,12 +79,17 @@ PersistOrderGraph::finalize()
 }
 
 PersistOrderGraph
-buildPersistOrder(const Trace &trace,
-                  const std::vector<PersistEvent> &events,
-                  const std::vector<MediaWriteEvent> &mediaWrites,
-                  const std::vector<Cycle> &completionCycles,
-                  Cycle setupCompleteCycle, std::uint32_t lineBytes)
+buildJointPersistOrder(std::span<const Trace> traces,
+                       const std::vector<PersistEvent> &events,
+                       const std::vector<MediaWriteEvent> &mediaWrites,
+                       std::span<const std::vector<Cycle>> completionCycles,
+                       Cycle setupCompleteCycle, std::uint32_t lineBytes)
 {
+    const auto cores = static_cast<unsigned>(traces.size());
+    ede_assert(cores >= 1, "joint persist order needs >= 1 core");
+    ede_assert(completionCycles.size() == cores,
+               "one completion-cycle vector per core");
+
     PersistOrderGraph g;
     g.lineBytes = lineBytes;
     g.nodes.resize(events.size());
@@ -87,9 +101,14 @@ buildPersistOrder(const Trace &trace,
     for (auto &[line, cycles] : mediaByLine)
         std::sort(cycles.begin(), cycles.end());
 
-    // Nodes, media cycles, and the same-line accept chains.
+    // Nodes, media cycles, and the *global* same-line accept chains:
+    // the NVM buffer keeps one slot per 256 B line regardless of
+    // which core's push accepted, so the chain crosses cores -- a
+    // cross-core link is the dirty-handoff coherence edge.
+    std::vector<unsigned> eventCore(events.size(), 0);
+    std::vector<std::unordered_map<TraceIndex, std::size_t>>
+        eventOfOrigin(cores);
     std::unordered_map<Addr, std::size_t> lastOfMediaLine;
-    std::unordered_map<TraceIndex, std::size_t> eventOfOrigin;
     for (std::size_t i = 0; i < events.size(); ++i) {
         const PersistEvent &ev = events[i];
         PersistNode &node = g.nodes[i];
@@ -98,11 +117,13 @@ buildPersistOrder(const Trace &trace,
         node.accept = ev.cycle;
         node.origin = ev.origin;
         node.preSetup = ev.cycle < setupCompleteCycle;
+        eventCore[i] = ev.core;
 
         const Addr line = g.mediaLine(ev.addr);
-        if (auto it = mediaByLine.find(line); it != mediaByLine.end()) {
-            const auto up = std::upper_bound(it->second.begin(),
-                                             it->second.end(), ev.cycle);
+        if (auto it = mediaByLine.find(line);
+            it != mediaByLine.end()) {
+            const auto up = std::upper_bound(
+                it->second.begin(), it->second.end(), ev.cycle);
             if (up != it->second.end())
                 node.mediaCycle = *up;
         }
@@ -110,17 +131,62 @@ buildPersistOrder(const Trace &trace,
         if (auto it = lastOfMediaLine.find(line);
             it != lastOfMediaLine.end()) {
             node.preds.push_back(it->second);
-            ++g.stats.sameLine;
+            if (eventCore[it->second] == ev.core)
+                ++g.stats.sameLine;
+            else
+                ++g.stats.crossLine;
         }
         lastOfMediaLine[line] = i;
 
-        if (ev.origin != kNoOrigin)
-            eventOfOrigin.emplace(ev.origin, i);
+        if (ev.origin != kNoOrigin && ev.core < cores)
+            eventOfOrigin[ev.core].emplace(ev.origin, i);
     }
 
-    // Walk the trace in program order, maintaining per-key producer
-    // sets (persist events conveying each key), the accumulated
-    // barrier roots, and the per-cache-line store gates.
+    // Pass 0: per-(core, key) CVAP events in completion order -- the
+    // producers a *remote* WAIT on that key drains.  A CVAP enters
+    // the shared counter file when it issues and leaves when it
+    // completes, so a WAIT completing at cycle W is ordered behind
+    // exactly the remote CVAPs naming its key with completion <= W.
+    std::vector<std::array<std::vector<KeyedEvent>, kNumEdks>>
+        keyed(cores);
+    for (unsigned c = 0; c < cores; ++c) {
+        const Trace &trace = traces[c];
+        const std::vector<Cycle> &done = completionCycles[c];
+        ede_assert(done.size() == trace.size(),
+                   "completion recording must cover every core");
+        for (std::size_t t = 0; t < trace.size(); ++t) {
+            const StaticInst &si = trace[t].si;
+            if (si.op != Op::DcCvap)
+                continue;
+            const auto it = eventOfOrigin[c].find(t);
+            if (it == eventOfOrigin[c].end())
+                continue;
+            if (edkIsReal(si.edkDef)) {
+                keyed[c][si.edkDef].push_back(
+                    KeyedEvent{done[t], it->second});
+            }
+            if (edkIsReal(si.edkUse) && si.edkUse != si.edkDef) {
+                keyed[c][si.edkUse].push_back(
+                    KeyedEvent{done[t], it->second});
+            }
+        }
+    }
+    for (unsigned c = 0; c < cores; ++c) {
+        for (auto &list : keyed[c]) {
+            std::sort(list.begin(), list.end(),
+                      [](const KeyedEvent &a, const KeyedEvent &b) {
+                          return a.completion < b.completion ||
+                                 (a.completion == b.completion &&
+                                  a.ev < b.ev);
+                      });
+        }
+    }
+
+    // Walk each core's trace in program order.  Its EDM key files,
+    // WAIT producer sets and barrier roots are private to the core,
+    // so a use operand only ever resolves against a local producer.
+    // Gated stores share one global per-line map: the gate's data
+    // travels with the cache line across cores.
     //
     // Two distinct producer notions per key:
     //  - keyProducers[k]: the NEWEST definition, the EDM mapping an
@@ -134,113 +200,161 @@ buildPersistOrder(const Trace &trace,
     //    coalesces and accepts early), which severs the chain and
     //    would leave older producers unordered against the
     //    post-wait persists.
-    std::vector<std::size_t> keyProducers[kNumEdks];
-    std::vector<std::size_t> waitProducers[kNumEdks];
-    std::vector<std::size_t> barrierRoots;
-    std::vector<std::size_t> cvapEventsSoFar;
+    struct CoreWalk
+    {
+        std::vector<std::size_t> keyProducers[kNumEdks];
+        std::vector<std::size_t> waitProducers[kNumEdks];
+        std::vector<std::size_t> barrierRoots;
+        std::vector<std::size_t> cvapEventsSoFar;
+    };
+    std::vector<CoreWalk> walks(cores);
     std::unordered_map<Addr, std::vector<GateEntry>> lineGate;
     const Addr cacheMask = ~static_cast<Addr>(63);
 
     auto addPreds = [&](std::size_t ev,
                         const std::vector<std::size_t> &producers,
-                        std::uint64_t &tally) {
+                        std::uint64_t &local, std::uint64_t &cross) {
         for (std::size_t p : producers) {
-            if (p != ev) {
-                g.nodes[ev].preds.push_back(p);
-                ++tally;
-            }
+            if (p == ev)
+                continue;
+            g.nodes[ev].preds.push_back(p);
+            if (eventCore[p] == eventCore[ev])
+                ++local;
+            else
+                ++cross;
         }
     };
-    auto consumedSet = [&](const StaticInst &si) {
-        std::vector<std::size_t> out;
-        if (edkIsReal(si.edkUse))
-            mergeInto(out, keyProducers[si.edkUse]);
-        if (edkIsReal(si.edkUse2))
-            mergeInto(out, keyProducers[si.edkUse2]);
-        return out;
+
+    // Join the remote producers of key @p k with completion <= upTo
+    // into @p roots: the cross-core WAIT edge source set.
+    auto mergeRemote = [&](unsigned c, Edk k, Cycle upTo,
+                           std::vector<std::size_t> &roots) {
+        for (unsigned rc = 0; rc < cores; ++rc) {
+            if (rc == c)
+                continue;
+            std::vector<std::size_t> add;
+            for (const KeyedEvent &ke : keyed[rc][k]) {
+                if (ke.completion > upTo)
+                    break;
+                add.push_back(ke.ev);
+            }
+            mergeInto(roots, add);
+        }
     };
 
-    for (std::size_t t = 0; t < trace.size(); ++t) {
-        const StaticInst &si = trace[t].si;
-        switch (si.op) {
-          case Op::DcCvap: {
-            const auto it = eventOfOrigin.find(t);
-            const std::size_t ev =
-                it != eventOfOrigin.end() ? it->second : kNoEvent;
-            if (ev != kNoEvent) {
-                if (edkIsReal(si.edkUse)) {
-                    addPreds(ev, keyProducers[si.edkUse],
-                             g.stats.edk);
-                }
-                addPreds(ev, barrierRoots, g.stats.fence);
-                if (edkIsReal(si.edkDef)) {
-                    // Chain edge to the previous definition.  When
-                    // accepts inverted, finalize() drops it (counted
-                    // nonmonotone) -- correctly, since no stall
-                    // sequenced the two lines; waitProducers keeps
-                    // the WAIT barriers sound regardless.
-                    addPreds(ev, keyProducers[si.edkDef],
-                             g.stats.keyChain);
-                    keyProducers[si.edkDef] = {ev};
-                    waitProducers[si.edkDef].push_back(ev);
-                }
-                if (edkIsReal(si.edkUse))
-                    waitProducers[si.edkUse].push_back(ev);
-                cvapEventsSoFar.push_back(ev);
-            } else if (edkIsReal(si.edkDef)) {
-                // A CVAP that never reached the NVM (shouldn't happen
-                // in a completed run): the key degenerates to the
-                // persists it consumed.
-                keyProducers[si.edkDef] = consumedSet(si);
-            }
-            break;
-          }
-          case Op::Str:
-          case Op::Stp: {
-            std::vector<std::size_t> producers = consumedSet(si);
-            mergeInto(producers, barrierRoots);
-            if (!producers.empty()) {
-                lineGate[trace[t].addr & cacheMask].push_back(
-                    GateEntry{std::move(producers), t});
-            }
-            if (edkIsReal(si.edkDef))
-                keyProducers[si.edkDef] = consumedSet(si);
-            break;
-          }
-          case Op::Ldr:
-            if (edkIsReal(si.edkDef))
-                keyProducers[si.edkDef] = consumedSet(si);
-            break;
-          case Op::Join:
-            if (edkIsReal(si.edkDef))
-                keyProducers[si.edkDef] = consumedSet(si);
-            break;
-          case Op::WaitKey:
+    for (unsigned c = 0; c < cores; ++c) {
+        const Trace &trace = traces[c];
+        const std::vector<Cycle> &done = completionCycles[c];
+        CoreWalk &w = walks[c];
+
+        auto consumedSet = [&](const StaticInst &si) {
+            std::vector<std::size_t> out;
             if (edkIsReal(si.edkUse))
-                mergeInto(barrierRoots, waitProducers[si.edkUse]);
-            break;
-          case Op::WaitAllKeys:
-            for (int k = 1; k < kNumEdks; ++k)
-                mergeInto(barrierRoots, waitProducers[k]);
-            break;
-          case Op::DsbSy:
-            // Every prior CVAP completed (persisted) before anything
-            // younger executes; prior plain stores carry their
-            // ordering through the line gates below.
-            mergeInto(barrierRoots, cvapEventsSoFar);
-            break;
-          case Op::DmbSt:
-            // DMB ST does not order DC CVAP: the SU hole.  No edges.
-            break;
-          default:
-            break;
+                mergeInto(out, w.keyProducers[si.edkUse]);
+            if (edkIsReal(si.edkUse2))
+                mergeInto(out, w.keyProducers[si.edkUse2]);
+            return out;
+        };
+
+        for (std::size_t t = 0; t < trace.size(); ++t) {
+            const StaticInst &si = trace[t].si;
+            switch (si.op) {
+              case Op::DcCvap: {
+                const auto it = eventOfOrigin[c].find(t);
+                const std::size_t ev =
+                    it != eventOfOrigin[c].end() ? it->second
+                                                 : kNoEvent;
+                if (ev != kNoEvent) {
+                    if (edkIsReal(si.edkUse)) {
+                        addPreds(ev, w.keyProducers[si.edkUse],
+                                 g.stats.edk, g.stats.crossWait);
+                    }
+                    addPreds(ev, w.barrierRoots, g.stats.fence,
+                             g.stats.crossWait);
+                    if (edkIsReal(si.edkDef)) {
+                        // Chain edge to the previous definition.
+                        // When accepts inverted, finalize() drops it
+                        // (counted nonmonotone) -- correctly, since
+                        // no stall sequenced the two lines;
+                        // waitProducers keeps the WAIT barriers sound
+                        // regardless.
+                        addPreds(ev, w.keyProducers[si.edkDef],
+                                 g.stats.keyChain,
+                                 g.stats.crossWait);
+                        w.keyProducers[si.edkDef] = {ev};
+                        w.waitProducers[si.edkDef].push_back(ev);
+                    }
+                    if (edkIsReal(si.edkUse))
+                        w.waitProducers[si.edkUse].push_back(ev);
+                    w.cvapEventsSoFar.push_back(ev);
+                } else if (edkIsReal(si.edkDef)) {
+                    // A CVAP that never reached the NVM (shouldn't
+                    // happen in a completed run): the key degenerates
+                    // to the persists it consumed.
+                    w.keyProducers[si.edkDef] = consumedSet(si);
+                }
+                break;
+              }
+              case Op::Str:
+              case Op::Stp: {
+                std::vector<std::size_t> producers = consumedSet(si);
+                mergeInto(producers, w.barrierRoots);
+                if (!producers.empty()) {
+                    lineGate[trace[t].addr & cacheMask].push_back(
+                        GateEntry{std::move(producers), t, c});
+                }
+                if (edkIsReal(si.edkDef))
+                    w.keyProducers[si.edkDef] = consumedSet(si);
+                break;
+              }
+              case Op::Ldr:
+                if (edkIsReal(si.edkDef))
+                    w.keyProducers[si.edkDef] = consumedSet(si);
+                break;
+              case Op::Join:
+                if (edkIsReal(si.edkDef))
+                    w.keyProducers[si.edkDef] = consumedSet(si);
+                break;
+              case Op::WaitKey:
+                if (edkIsReal(si.edkUse)) {
+                    mergeInto(w.barrierRoots,
+                              w.waitProducers[si.edkUse]);
+                    ede_assert(done[t] != kNoCycle,
+                               "WAIT never completed in a completed "
+                               "run");
+                    mergeRemote(c, si.edkUse, done[t],
+                                w.barrierRoots);
+                }
+                break;
+              case Op::WaitAllKeys:
+                ede_assert(done[t] != kNoCycle,
+                           "WAIT never completed in a completed run");
+                for (int k = 1; k < kNumEdks; ++k) {
+                    mergeInto(w.barrierRoots, w.waitProducers[k]);
+                    mergeRemote(c, static_cast<Edk>(k), done[t],
+                                w.barrierRoots);
+                }
+                break;
+              case Op::DsbSy:
+                // Local fence: every prior CVAP of this core completed
+                // (persisted) before anything younger executes; prior
+                // plain stores carry their ordering through the line
+                // gates below.
+                mergeInto(w.barrierRoots, w.cvapEventsSoFar);
+                break;
+              case Op::DmbSt:
+                // DMB ST does not order DC CVAP: the SU hole.
+                break;
+              default:
+                break;
+            }
         }
     }
 
-    // Apply the store gates: every persist of a gated line accepted
-    // at or after the gating store's completion contains that store's
-    // data and inherits its producers.  Earlier persists of the line
-    // predate the store and are genuinely unordered against it.
+    // Apply the store gates globally: a persist of a gated line
+    // accepted at or after the gating store's completion contains
+    // that store's data -- whichever core pushed it, the shared L2
+    // handed the dirty line over first -- and inherits its producers.
     if (!lineGate.empty()) {
         for (std::size_t i = 0; i < g.nodes.size(); ++i) {
             PersistNode &node = g.nodes[i];
@@ -250,12 +364,15 @@ buildPersistOrder(const Trace &trace,
                 if (it == lineGate.end())
                     continue;
                 for (const GateEntry &gate : it->second) {
-                    if (gate.storeIdx >= completionCycles.size())
+                    const std::vector<Cycle> &done =
+                        completionCycles[gate.core];
+                    if (gate.storeIdx >= done.size())
                         continue;
-                    const Cycle done = completionCycles[gate.storeIdx];
-                    if (done == kNoCycle || node.accept < done)
+                    const Cycle dc = done[gate.storeIdx];
+                    if (dc == kNoCycle || node.accept < dc)
                         continue;
-                    addPreds(i, gate.producers, g.stats.lineGate);
+                    addPreds(i, gate.producers, g.stats.lineGate,
+                             g.stats.crossLine);
                 }
             }
         }

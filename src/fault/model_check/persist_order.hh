@@ -1,6 +1,7 @@
 /**
  * @file
- * The persist-ordering partial order of one simulated run.
+ * The persist-ordering partial order of one simulated run, on one
+ * core or on N.
  *
  * The WPQ/ADR model guarantees much less than "persists become
  * durable in accept order": an accepted line may still be pending
@@ -57,6 +58,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/system.hh"
@@ -108,7 +110,7 @@ struct PersistOrderStats
     std::uint64_t nonmonotone = 0;///< Dropped forward edges (expect 0).
 
     /**
-     * @name Cross-core edges (multicore_order.hh; zero on one core).
+     * @name Cross-core edges (zero on one core).
      *
      * crossWait: a WAIT/fence-rooted edge whose producer persisted on
      * a different core than the consumer -- the cross-core WAIT
@@ -163,21 +165,52 @@ struct PersistOrderGraph
 };
 
 /**
- * Derive the partial order for one run.
+ * Derive the joint partial order of one run on N >= 1 cores.
  *
- * @param trace             the executed trace (EDK/fence constraints)
- * @param events            System::persistEvents() (accept order)
- * @param mediaWrites       System::mediaWriteEvents()
- * @param completionCycles  System::completionCycles() (recording on)
- * @param setupCompleteCycle first cycle with the pool fully durable
- * @param lineBytes         NVM media line size
+ * Three families of constraints join the cores:
+ *
+ *  - per-core chains: each core's trace is walked for the edges
+ *    above (EDK uses, key-definition chains, DSB SY and WAIT barrier
+ *    roots, gated-store line edges) against that core's private
+ *    EDM/key state -- per-core key files mean a use operand can only
+ *    name a local producer;
+ *
+ *  - cross-core WAIT edges: the WAIT counter file spans the
+ *    coherence point (core/cross_core.hh), so WAIT_KEY(k) on core c
+ *    also drains every *remote* in-flight CVAP naming k.  The walk
+ *    joins the waiter's barrier roots with every remote CVAP event
+ *    whose instruction completed no later than the WAIT itself --
+ *    exactly the set the counters could have tracked;
+ *
+ *  - same-line coherence edges: the global accept-order chain over
+ *    each 256 B media line.  Two cores' persists of one line meet at
+ *    the shared L2 (dirty handoff) and the NVM buffer coalesces them
+ *    into one ordered media stream, so the chain is sound across
+ *    cores; cross-core links are tallied separately (crossLine).
+ *
+ * Every durable set of a multi-core crash is an ideal of this joint
+ * lattice, so the enumerator, torn-event machinery and shrinker run
+ * on N-core runs unchanged.  The single-core order is the one-core
+ * case: buildPersistOrder(const WorkloadHarness &) passes one trace.
+ *
+ * @param traces             the executed traces, index == core
+ * @param events             System::persistEvents() (global accept
+ *                           order; .core binds each event to its core)
+ * @param mediaWrites        System::mediaWriteEvents()
+ * @param completionCycles   per-core completion cycles, index == core
+ *                           (System::completionCycles(i), recording on)
+ * @param setupCompleteCycle events accepted before it are preSetup
+ *                           (durable in every crash state); 0 when
+ *                           setup is ordinary checked work, as for
+ *                           the concurrent kernels
+ * @param lineBytes          NVM media line size
  */
 PersistOrderGraph
-buildPersistOrder(const Trace &trace,
-                  const std::vector<PersistEvent> &events,
-                  const std::vector<MediaWriteEvent> &mediaWrites,
-                  const std::vector<Cycle> &completionCycles,
-                  Cycle setupCompleteCycle, std::uint32_t lineBytes);
+buildJointPersistOrder(std::span<const Trace> traces,
+                       const std::vector<PersistEvent> &events,
+                       const std::vector<MediaWriteEvent> &mediaWrites,
+                       std::span<const std::vector<Cycle>> completionCycles,
+                       Cycle setupCompleteCycle, std::uint32_t lineBytes);
 
 } // namespace ede
 

@@ -12,6 +12,7 @@
 #define EDE_SIM_CONFIG_HH
 
 #include <array>
+#include <optional>
 #include <string_view>
 
 #include "mem/mem_system.hh"
@@ -45,6 +46,17 @@ configName(Config c)
       case Config::U: return "U";
     }
     return "<bad-config>";
+}
+
+/** Reverse of configName; nullopt for an unknown name. */
+constexpr std::optional<Config>
+configFromName(std::string_view name)
+{
+    for (Config c : kAllConfigs) {
+        if (configName(c) == name)
+            return c;
+    }
+    return std::nullopt;
 }
 
 /** True for configurations that permit crash-inconsistent reordering. */

@@ -398,6 +398,36 @@ TEST(ConcCheck, CoreCountKeyPartitionExhausts)
         buildConcurrentWorkload(ConcApp::MsQueue, p));
 }
 
+TEST(ConcCheck, PacedRoundsMustFitThePaceLines)
+{
+    // A paced run reads (cores x ops + 1) x (16 + 2 x ops) fresh pace
+    // lines per core out of 8192: at 4 cores, 28 ops per core fit and
+    // 29 are rejected up front with the limit named.
+    ConcParams p;
+    p.cfg = Config::IQ;
+    p.cores = 4;
+    p.paced = true;
+
+    p.opsPerCore = 28;
+    EXPECT_NO_THROW(buildConcurrentWorkload(ConcApp::RwLock, p));
+
+    p.opsPerCore = 29;
+    try {
+        buildConcurrentWorkload(ConcApp::RwLock, p);
+        FAIL() << "29 paced ops per core must outgrow the pace lines";
+    } catch (const SimFaultError &e) {
+        EXPECT_EQ(e.kind(), SimErrorKind::RunRequestInvalid);
+        EXPECT_NE(e.error().detail.find("8658"), std::string::npos)
+            << e.error().detail;
+        EXPECT_NE(e.error().detail.find("8192"), std::string::npos)
+            << e.error().detail;
+    }
+
+    // Free-running generation reads no pace lines.
+    p.paced = false;
+    EXPECT_NO_THROW(buildConcurrentWorkload(ConcApp::RwLock, p));
+}
+
 TEST(ConcOracle, ReceiptDemandsDataAtLeastAsDurable)
 {
     // Fully drained run: clean.  Then forge durable-read receipts the
@@ -527,7 +557,7 @@ TEST(ConcCheck, SweepIdCoversTheSearchParameters)
 
     // Isolation knobs do not change the experiment's identity.
     mut = base;
-    mut.isolate = true;
+    mut.isolation.isolate = true;
     mut.jobs = 4;
     EXPECT_EQ(concCheckSweepId(mut), id);
 }
@@ -536,10 +566,10 @@ TEST(ConcCheck, ChaosCrashQuarantinesTheConfig)
 {
     ConcCheckOptions opts = gateOptions(2);
     opts.configs = {Config::B, Config::IQ};
-    opts.isolate = true;
-    opts.retry.maxAttempts = 2;
-    opts.retry.backoffBaseMs = 1;
-    opts.retry.backoffMaxMs = 2;
+    opts.isolation.isolate = true;
+    opts.isolation.retry.maxAttempts = 2;
+    opts.isolation.retry.backoffBaseMs = 1;
+    opts.isolation.retry.backoffMaxMs = 2;
     opts.chaosCrashConfig = "IQ";
     const ConcCheckReport report = runConcCheck(opts);
 

@@ -613,20 +613,21 @@ TEST(CampaignIsolated, MatchesInProcessResultsAndResumes)
 
     const CampaignReport inProc = runCampaign(options);
 
-    options.isolate = true;
+    options.isolation.isolate = true;
     options.jobs = 2;
-    options.retry.backoffBaseMs = 1;
-    options.journalPath =
+    options.isolation.retry.backoffBaseMs = 1;
+    options.isolation.journalPath =
         scratchDir("campaign_iso") + "/campaign.journal";
     std::filesystem::create_directories(
-        std::filesystem::path(options.journalPath).parent_path());
+        std::filesystem::path(options.isolation.journalPath)
+            .parent_path());
     const CampaignReport isolated = runCampaign(options);
 
     EXPECT_TRUE(isolated.quarantined.empty());
     EXPECT_EQ(campaignToJson(inProc), campaignToJson(isolated));
 
     // Resume replays the journal; the artifact stays byte-identical.
-    options.resume = true;
+    options.isolation.resume = true;
     const CampaignReport resumed = runCampaign(options);
     EXPECT_EQ(campaignToJson(isolated), campaignToJson(resumed));
 }
@@ -637,10 +638,10 @@ TEST(CampaignIsolated, QuarantinesACrashingConfigAndFinishesTheRest)
     options.spec = RunSpec{3, 4, 42};
     options.pointsPerConfig = 8;
     options.configs = {Config::B, Config::U};
-    options.isolate = true;
+    options.isolation.isolate = true;
     options.jobs = 2;
-    options.retry.maxAttempts = 2;
-    options.retry.backoffBaseMs = 1;
+    options.isolation.retry.maxAttempts = 2;
+    options.isolation.retry.backoffBaseMs = 1;
     options.chaosCrashConfig = "B";
 
     const CampaignReport report = runCampaign(options);

@@ -2,11 +2,16 @@
  * @file
  * End-to-end tests for the crash-injection campaign: Table III's
  * safety split under fault pressure, determinism from the root seed,
- * and reproducer formatting.
+ * and reproducer formatting -- plus the journal branches of the
+ * per-config sweep loop the four crash tools share (config_sweep.hh).
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <sstream>
+
+#include "exp/journal.hh"
 #include "fault/campaign.hh"
 
 namespace ede {
@@ -107,6 +112,160 @@ TEST(Campaign, OutcomeNamesAreStable)
                  "torn-log-detected");
     EXPECT_STREQ(crashOutcomeName(CrashOutcome::Unrecoverable),
                  "unrecoverable");
+}
+
+// ---------------------------------------------------------------- //
+// The shared per-config sweep loop's journal branches, run with a
+// stand-in tool whose payload is "fake <config> <text>".
+// ---------------------------------------------------------------- //
+
+struct FakeResult
+{
+    Config config = Config::B;
+    std::string text;
+};
+
+std::string
+fakePayload(Config cfg, const std::string &text)
+{
+    return "fake " + std::string(configName(cfg)) + " " + text;
+}
+
+std::optional<FakeResult>
+parseFake(const std::string &payload)
+{
+    std::istringstream is(payload);
+    std::string magic, name, text;
+    if (!(is >> magic >> name >> text) || magic != "fake")
+        return std::nullopt;
+    const std::optional<Config> cfg = configFromName(name);
+    if (!cfg)
+        return std::nullopt;
+    return FakeResult{*cfg, text};
+}
+
+constexpr std::uint64_t kFakeSweepId = 0x5eed;
+
+class ConfigSweepLoop : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        const std::string dir = "config_sweep_test_scratch/" +
+            std::string(::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name());
+        std::filesystem::remove_all(dir);
+        std::filesystem::create_directories(dir);
+        iso.isolate = true;
+        iso.retry.maxAttempts = 1;
+        iso.journalPath = dir + "/sweep.journal";
+    }
+
+    static std::uint64_t
+    fp(Config cfg)
+    {
+        return configFingerprint("fake", kFakeSweepId, cfg);
+    }
+
+    /** Run the sweep; every worker returns its "fresh" payload. */
+    void
+    run(const std::function<std::string(Config)> &work =
+            [](Config cfg) { return fakePayload(cfg, "fresh"); })
+    {
+        results.clear();
+        quarantined.clear();
+        const ConfigSweep sweep{"fake", "fake", kFakeSweepId, configs,
+                                /*jobs=*/1, iso, chaos};
+        ASSERT_TRUE(sweepIsIsolated(sweep));
+        runIsolatedConfigs(sweep, work, parseFake, results,
+                           quarantined);
+    }
+
+    std::vector<Config> configs{Config::B, Config::IQ};
+    exp::IsolationOptions iso;
+    std::string chaos;
+    std::vector<FakeResult> results;
+    std::vector<QuarantinedConfig> quarantined;
+};
+
+TEST_F(ConfigSweepLoop, CorruptJournaledPayloadIsRerun)
+{
+    {
+        exp::SweepJournal j(iso.journalPath, kFakeSweepId,
+                            configs.size(), /*resume=*/false);
+        j.recordOk(0, fp(Config::B), "garbage");
+        j.recordOk(1, fp(Config::IQ),
+                   fakePayload(Config::IQ, "journaled"));
+    }
+    iso.resume = true;
+    run();
+    EXPECT_TRUE(quarantined.empty());
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[0].config, Config::B);
+    EXPECT_EQ(results[0].text, "fresh");  // Re-run, not replayed.
+    EXPECT_EQ(results[1].config, Config::IQ);
+    EXPECT_EQ(results[1].text, "journaled");
+
+    // The re-run landed in the journal: a second resume replays
+    // both configs, even with every worker now set to crash.
+    chaos = "B";
+    run([](Config) -> std::string { std::abort(); });
+    EXPECT_TRUE(quarantined.empty());
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[0].text, "fresh");
+    EXPECT_EQ(results[1].text, "journaled");
+}
+
+TEST_F(ConfigSweepLoop, JournaledQuarantineIsReplayedWithoutRerunning)
+{
+    {
+        exp::SweepJournal j(iso.journalPath, kFakeSweepId,
+                            configs.size(), /*resume=*/false);
+        exp::JobFailure f;
+        f.outcome = exp::JobOutcome::TimedOut;
+        f.attempts = 3;
+        f.message = "journaled verdict";
+        j.recordQuarantine(0, fp(Config::B), f);
+    }
+    iso.resume = true;
+    run();
+    ASSERT_EQ(quarantined.size(), 1u);
+    EXPECT_EQ(quarantined[0].config, Config::B);
+    EXPECT_EQ(quarantined[0].failure.outcome, exp::JobOutcome::TimedOut);
+    EXPECT_EQ(quarantined[0].failure.attempts, 3u);
+    EXPECT_EQ(quarantined[0].failure.message, "journaled verdict");
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].config, Config::IQ);
+    EXPECT_EQ(results[0].text, "fresh");
+}
+
+TEST_F(ConfigSweepLoop, PayloadFailingValidationIsQuarantinedAsCrashed)
+{
+    // B's worker ships garbage; IQ's ships a valid payload for the
+    // wrong configuration.  Neither validates.
+    run([](Config cfg) {
+        return cfg == Config::B ? std::string("not a payload")
+                                : fakePayload(Config::B, "misfiled");
+    });
+    EXPECT_TRUE(results.empty());
+    ASSERT_EQ(quarantined.size(), 2u);
+    for (const QuarantinedConfig &q : quarantined) {
+        EXPECT_EQ(q.failure.outcome, exp::JobOutcome::Crashed)
+            << configName(q.config);
+        EXPECT_EQ(q.failure.message,
+                  "worker payload failed fake validation");
+    }
+    EXPECT_EQ(quarantined[0].config, Config::B);
+    EXPECT_EQ(quarantined[1].config, Config::IQ);
+
+    // The quarantines are journaled verdicts: a resume with a now
+    // healthy worker keeps them.
+    iso.resume = true;
+    run();
+    EXPECT_TRUE(results.empty());
+    EXPECT_EQ(quarantined.size(), 2u);
 }
 
 } // namespace
