@@ -16,10 +16,16 @@
  * independent, so the machine's closed-loop cycle count is
  * bit-identical across offered loads, while the open-loop tail
  * blows up once arrivals outrun the NVM-bound service rate -- the
- * overload knee.  Two CI gates ride on that construction:
+ * overload knee.  The experiment runner exploits the construction:
+ * every offered load and policy of a configuration shares one
+ * traffic::machinePlan, so the sweep simulates one machine run per
+ * configuration and replays it per cell.  Two CI gates ride on it:
  *
  *  - --check-knee: closed-loop cycles identical across offered loads
- *    while the open-loop p99 diverges (PR-9's separation);
+ *    while the open-loop p99 diverges (PR-9's separation).  The
+ *    sweep's cells share one run, so their cycles agree by
+ *    construction; the gate also simulates the heaviest load on its
+ *    own, which checks that arrivals never reach the machine;
  *  - --check-shed: the serving-path robustness story.  A light-load
  *    probe measures the mean service time (service times are
  *    arrival-independent, so the probe's distribution equals every
@@ -113,7 +119,9 @@ makePoint(const Options &opt, Config cfg, std::string label,
  * (the trace is arrival-independent by construction), while the
  * open-loop p99 at the heaviest load must strictly exceed the
  * lightest load's -- queueing delay the closed-loop run structurally
- * cannot show.
+ * cannot show.  The sweep's cells replay one shared machine run, so
+ * the heaviest load is also simulated on its own: its cycles must
+ * match too.
  */
 int
 checkKnee(const exp::ExperimentResults &results,
@@ -134,6 +142,12 @@ checkKnee(const exp::ExperimentResults &results,
             if (cell.result.cycles != light.result.cycles)
                 cyclesEqual = false;
         }
+        Session alone(SimConfig::paper(cfg).withCoreCount(
+            heavy.point.simParams.coreCount));
+        const SimResult solo =
+            alone.run(RunRequest::ofTraffic(heavy.point.trafficPlan));
+        if (!solo.ok() || solo.stats.cycles != light.result.cycles)
+            cyclesEqual = false;
         const Cycle p99Light = light.result.traffic.open.p99;
         const Cycle p99Heavy = heavy.result.traffic.open.p99;
         const bool diverges = p99Heavy > p99Light;

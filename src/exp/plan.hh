@@ -60,7 +60,8 @@ struct ExperimentPoint
      * (traffic/stream_mux.hh) through RunRequest::ofTraffic on
      * simParams.coreCount cores; `app`, `spec`, `appParams` and the
      * conc fields are ignored.  Like the conc block, the traffic
-     * fields are fingerprinted only when set.
+     * fields are fingerprinted only when set.  Points of one plan
+     * that share a traffic::machinePlan share one machine run.
      */
     /// @{
     bool traffic = false;

@@ -30,6 +30,8 @@ ExperimentResults::ExperimentResults(std::vector<ExperimentCell> cells)
             ++cacheHits_;
         else if (c.fromJournal)
             ++journalReplays_;
+        else if (c.sharedRun)
+            ++sharedRuns_;
     }
 }
 

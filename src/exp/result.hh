@@ -46,9 +46,19 @@ struct ExperimentCell
     JobFailure failure;
 
     /**
+     * Replayed from the machine run of another cell of the same
+     * runPlan call: a traffic cell whose traffic::machinePlan it
+     * shares (exp/runner.hh).  Its RunResult is complete; only the
+     * host cost of the run is booked on the cell that simulated it.
+     */
+    bool sharedRun = false;
+
+    /**
      * Host-side performance of the simulation that produced this
-     * cell.  Never cached (host wall time is not content-addressable);
-     * all-zero when fromCache is set.
+     * cell.  Never cached (host wall time is not content-addressable)
+     * and not shipped back by isolated workers; all-zero when
+     * fromCache, fromJournal or sharedRun is set, so summing the
+     * profiles of a sweep counts every machine run once.
      */
     HostProfile profile;
 };
@@ -104,6 +114,12 @@ class ExperimentResults
                failures_.size();
     }
 
+    /**
+     * Machine runs behind the simulated cells: simulated() minus the
+     * cells that replayed another cell's run (sharedRun).
+     */
+    std::size_t machineRuns() const { return simulated() - sharedRuns_; }
+
   private:
     std::vector<ExperimentCell> cells_;
     std::vector<const ExperimentCell *> failures_;
@@ -111,6 +127,7 @@ class ExperimentResults
     std::map<std::string, std::size_t> byLabel_;
     std::size_t cacheHits_ = 0;
     std::size_t journalReplays_ = 0;
+    std::size_t sharedRuns_ = 0;
 };
 
 } // namespace exp

@@ -8,13 +8,26 @@
  * Results come back in plan order, so `jobs=N` is bit-identical to
  * `jobs=1` and a warm cache is bit-identical to a cold one.
  *
- * With IsolationMode::Process each miss is executed in a forked
- * worker (exp/worker.hh) bounded by a wall-clock timeout and an
- * address-space cap; a crash, hang, OOM or structured SimError in
- * one cell is classified, retried per the transient-failure policy,
- * and finally *quarantined* -- the sweep still completes, the
- * surviving cells are bit-identical to a non-isolated run, and the
- * quarantined cells are reported in ExperimentResults::failures().
+ * The unit of work is a *machine-run group*.  Traffic points whose
+ * traffic::machinePlan fingerprints alike -- the same machine under
+ * different offered loads, warmup/window settings or overload
+ * policies -- form one group led by its lowest plan index; every
+ * other point, and a traffic point whose plan fails validation, is
+ * a group of one.  Lookups stay per cell, and a
+ * group's misses are simulated by a single machine run that each
+ * miss replays (Session::runEach); every cell is still cached and
+ * journaled under its own fingerprint.  Cells after the first miss
+ * are marked sharedRun and carry an all-zero profile.
+ *
+ * With IsolationMode::Process each group's misses are executed in
+ * one forked worker (exp/worker.hh) bounded by a wall-clock timeout
+ * and an address-space cap, which returns their cells in one
+ * payload; a crash, hang, OOM or structured SimError in the group
+ * is classified, retried per the transient-failure policy, and
+ * finally *quarantines* every miss of the group -- the sweep still
+ * completes, the surviving cells are bit-identical to a non-isolated
+ * run, and the quarantined cells are reported in
+ * ExperimentResults::failures().
  * A sweep journal (exp/journal.hh) makes the run resumable: every
  * durable cell (fresh, cached or quarantined) is appended as it
  * lands, and `resume` replays compatible records so a SIGKILLed
@@ -73,8 +86,9 @@ struct RunnerOptions
     /**
      * Test/chaos hook: a point whose label equals this calls abort()
      * inside its isolated worker before simulating -- the way tests
-     * and the CI chaos job provoke a deterministic poison cell.
-     * Ignored (never aborts the sweep) without Process isolation.
+     * and the CI chaos job provoke a deterministic poison cell (and
+     * so quarantine its whole machine-run group).  Ignored (never
+     * aborts the sweep) without Process isolation.
      */
     std::string chaosCrashLabel;
 };

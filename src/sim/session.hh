@@ -14,7 +14,7 @@
  *   use(r.cycles(), r.stats, r.profile);
  *
  * A RunRequest names the workload -- one trace, one trace per core,
- * or an open-loop traffic plan (traffic/stream_mux.hh) -- and every
+ * or open-loop traffic plans (traffic/stream_mux.hh) -- and every
  * outcome flows back through the same result-or-SimError channel:
  * request validation failures (RunRequestInvalid, SessionReused,
  * CoreCountKeyExhausted) are reported exactly like machine aborts,
@@ -74,7 +74,7 @@ struct SimResult
 
 /**
  * One validated workload request: either explicit traces (one per
- * core) or a traffic plan the session expands itself.  Built through
+ * core) or traffic plans the session expands itself.  Built through
  * the factories; Session::run rejects malformed requests with a
  * structured RunRequestInvalid instead of asserting.
  */
@@ -83,9 +83,12 @@ struct RunRequest
     /** One trace per core, index order (trace i binds to core i). */
     std::vector<Trace> traces;
 
-    /** When set, @ref traffic drives the run and traces are built. */
-    bool hasTraffic = false;
-    traffic::TrafficPlan traffic;
+    /**
+     * When non-empty, these plans drive the run and traces are
+     * built.  Every plan must share one traffic::machinePlan: the
+     * machine runs once and each plan replays that run.
+     */
+    std::vector<traffic::TrafficPlan> traffic;
 
     /** Single-core request. */
     static RunRequest
@@ -109,9 +112,15 @@ struct RunRequest
     static RunRequest
     ofTraffic(const traffic::TrafficPlan &plan)
     {
+        return ofTraffic(std::vector<traffic::TrafficPlan>{plan});
+    }
+
+    /** Several traffic plans sharing one machine run (runEach). */
+    static RunRequest
+    ofTraffic(std::vector<traffic::TrafficPlan> plans)
+    {
         RunRequest req;
-        req.hasTraffic = true;
-        req.traffic = plan;
+        req.traffic = std::move(plans);
         return req;
     }
 };
@@ -133,9 +142,27 @@ class Session
      *
      * Traffic requests expand the plan into per-core traces, enable
      * completion recording, and fill stats.traffic with the exact
-     * open-loop tail-latency records after the machine run.
+     * open-loop tail-latency records after the machine run.  A
+     * request carrying several traffic plans is RunRequestInvalid
+     * here: it has one result per plan, so it goes through runEach.
      */
     SimResult run(const RunRequest &request);
+
+    /**
+     * As run(), with one result per traffic plan of @p request (one
+     * result for a trace request).  The plans must share one
+     * traffic::machinePlan, or every result is RunRequestInvalid.
+     * Every plan is validated first; the first malformed one rejects
+     * the whole request, every result carrying its kind and message.
+     * The machine runs once, and every plan in turn restamps the one
+     * workload's arrivals (traffic::stampArrivals) and replays the
+     * run's completion stamps and backpressure signal, so memory
+     * stays at one machine, one workload and one replay.  Every
+     * result carries the machine's statistics; only the first
+     * carries the host profile, so summing profiles counts the run
+     * once.  A rejected request does not consume the session.
+     */
+    std::vector<SimResult> runEach(const RunRequest &request);
 
     /** True once a request has actually reached the machine. */
     bool ran() const { return ran_; }
@@ -149,6 +176,7 @@ class Session
 
   private:
     SimResult collect() const;
+    std::vector<SimResult> runTraffic(const RunRequest &request);
 
     SimConfig config_;
     System system_;

@@ -78,6 +78,8 @@ struct ArrivalSpec
     unsigned poolSize = 4;      ///< Clients per stream (>= 1).
     double thinkTime = 2000.0;  ///< Mean think gap, cycles (>= 0).
     /// @}
+
+    bool operator==(const ArrivalSpec &) const = default;
 };
 
 /** A seeded generator of monotone arrival timestamps. */

@@ -37,6 +37,8 @@ struct OpMix
     double zipfTheta = 0.99;
 
     std::uint64_t keys = 256;   ///< Keyspace size per stream.
+
+    bool operator==(const OpMix &) const = default;
 };
 
 /**

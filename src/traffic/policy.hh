@@ -147,6 +147,8 @@ struct OverloadPolicy
 
     /** True when any admission policy gates the replay. */
     bool active() const { return admission != AdmissionKind::None; }
+
+    bool operator==(const OverloadPolicy &) const = default;
 };
 
 /**

@@ -34,14 +34,12 @@ struct StreamGen
 {
     StreamGen(const TrafficPlan &plan, unsigned stream)
         : rng(streamSeed(plan.seed, stream, 1)),
-          zipf(plan.mix.keys, plan.mix.zipfTheta),
-          arrivals(plan.arrival, streamSeed(plan.seed, stream, 2))
+          zipf(plan.mix.keys, plan.mix.zipfTheta)
     {
     }
 
     Rng rng;
     ZipfGenerator zipf;
-    ArrivalProcess arrivals;
     std::uint64_t nextValue = 1;
 };
 
@@ -278,7 +276,6 @@ buildTrafficWorkload(const TrafficPlan &plan, Config cfg,
     // keeps the trace (and the machine's closed-loop cycles)
     // bit-identical across offered loads.  Stream 0 always carries
     // the largest per-stream share, so its count bounds the rounds.
-    const bool closed = plan.arrival.kind == ArrivalKind::ClosedPool;
     std::uint64_t total = 0;
     for (unsigned s = 0; s < plan.streams; ++s)
         total += trafficTxnsOfStream(plan, s);
@@ -296,10 +293,6 @@ buildTrafficWorkload(const TrafficPlan &plan, Config cfg,
             rec.core = core;
             rec.index = static_cast<std::uint32_t>(t);
             rec.kind = drawTxnKind(plan.mix, sg.rng);
-            if (closed)
-                rec.think = sg.arrivals.thinkGap();
-            else
-                rec.arrival = sg.arrivals.next();
             rec.first = wl.traces[core].size();
             if (rec.kind == TxnKind::Read)
                 emitReadTxn(gens[core], sg, s, plan.opsPerTxn);
@@ -310,7 +303,37 @@ buildTrafficWorkload(const TrafficPlan &plan, Config cfg,
             wl.txns.push_back(rec);
         }
     }
+    stampArrivals(plan, wl);
     return wl;
+}
+
+void
+stampArrivals(const TrafficPlan &plan, TrafficWorkload &workload)
+{
+    std::vector<ArrivalProcess> arrivals;
+    arrivals.reserve(plan.streams);
+    for (unsigned s = 0; s < plan.streams; ++s)
+        arrivals.emplace_back(plan.arrival, streamSeed(plan.seed, s, 2));
+    // Records are in schedule order, so each stream's draws come in
+    // its own index order whatever the interleave.
+    const bool closed = plan.arrival.kind == ArrivalKind::ClosedPool;
+    for (TxnRecord &rec : workload.txns) {
+        ArrivalProcess &a = arrivals[rec.stream];
+        rec.arrival = closed ? 0 : a.next();
+        rec.think = closed ? a.thinkGap() : 0;
+    }
+}
+
+TrafficPlan
+machinePlan(const TrafficPlan &plan)
+{
+    const TrafficPlan defaults;
+    TrafficPlan machine = plan;
+    machine.arrival = defaults.arrival;
+    machine.warmupPermille = defaults.warmupPermille;
+    machine.latencyWindows = defaults.latencyWindows;
+    machine.policy = defaults.policy;
+    return machine;
 }
 
 } // namespace traffic

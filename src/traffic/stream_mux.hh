@@ -91,6 +91,8 @@ struct TrafficPlan
     OverloadPolicy policy;    ///< Overload control (inactive = none).
 
     std::uint64_t seed = 42;  ///< Master seed (keys, kinds, arrivals).
+
+    bool operator==(const TrafficPlan &) const = default;
 };
 
 /** Transactions stream @p s issues under @p plan. */
@@ -202,6 +204,30 @@ TrafficCheck validateTrafficPlan(const TrafficPlan &plan, Config cfg,
  */
 TrafficWorkload buildTrafficWorkload(const TrafficPlan &plan,
                                      Config cfg, unsigned coreCount);
+
+/**
+ * (Re)draw the arrival stamps of @p workload's transactions from
+ * @p plan's arrival spec: TxnRecord::arrival for the open kinds,
+ * TxnRecord::think for ClosedPool, the other field zero.  The
+ * arrival draws ride on their own per-stream Rng lane, so this is
+ * exactly what buildTrafficWorkload(plan, ...) stamps.  It lets one
+ * built workload serve every plan that shares its machinePlan.
+ * @pre machinePlan(plan) equals the machine plan of the plan
+ * @p workload was built from.
+ */
+void stampArrivals(const TrafficPlan &plan, TrafficWorkload &workload);
+
+/**
+ * @p plan with its replay-only knobs reset to their defaults: the
+ * whole arrival spec, warmupPermille, latencyWindows and the whole
+ * overload policy.  Those knobs shape only the post-run replay
+ * (computeTrafficResult), never the traces, so every plan with the
+ * same machinePlan drives the identical closed-loop machine run --
+ * cycles, counters, completion stamps and backpressure signal.  This
+ * is the one place that decides which knobs shape the machine;
+ * Session and exp::runPlan share a run between plans through it.
+ */
+TrafficPlan machinePlan(const TrafficPlan &plan);
 
 // The arrival replay over measured completions lives in
 // traffic/overload.hh (computeTrafficResult), where the plain
