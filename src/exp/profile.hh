@@ -134,6 +134,38 @@ class PhaseTimer
     std::chrono::steady_clock::time_point start_;
 };
 
+/**
+ * Back-to-back phase timer: each lap() charges the time since the
+ * previous lap (or construction) to one slot.  Consecutive phases
+ * share their boundary, so n phases cost n + 1 clock reads instead of
+ * PhaseTimer's 2n.  A null profile makes every call a no-op.
+ */
+class PhaseLaps
+{
+  public:
+    explicit PhaseLaps(HostProfile *profile) : profile_(profile)
+    {
+        if (profile_)
+            last_ = std::chrono::steady_clock::now();
+    }
+
+    void
+    lap(std::uint64_t HostProfile::*slot)
+    {
+        if (!profile_)
+            return;
+        const auto t = std::chrono::steady_clock::now();
+        profile_->*slot += static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(t - last_)
+                .count());
+        last_ = t;
+    }
+
+  private:
+    HostProfile *profile_;
+    std::chrono::steady_clock::time_point last_;
+};
+
 /** One-line human-readable summary ("12.3 Mcyc/s, 87% skipped"). */
 std::string describeProfile(const HostProfile &profile);
 

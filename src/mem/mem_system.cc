@@ -37,7 +37,7 @@ MemSystem::MemSystem(MemSystemParams params, unsigned coreCount)
     for (auto &l1 : l1ds_) {
         l1->setRespFn([this](const MemResp &r, Cycle) {
             if (r.id != kNoReq)
-                done_.insert(r.id);
+                done_.push_back(r.id);
         });
     }
 }
@@ -113,7 +113,12 @@ MemSystem::sendClean(Addr addr, Cycle now, TraceIndex origin,
 bool
 MemSystem::consumeDone(ReqId id)
 {
-    return done_.erase(id) > 0;
+    auto it = std::find(done_.begin(), done_.end(), id);
+    if (it == done_.end())
+        return false;
+    *it = done_.back();
+    done_.pop_back();
+    return true;
 }
 
 void

@@ -26,7 +26,6 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "mem/cache.hh"
@@ -134,7 +133,8 @@ class MemSystem
     std::unique_ptr<Cache> l3_;
     std::unique_ptr<Cache> l2_;
     std::vector<std::unique_ptr<Cache>> l1ds_;  ///< One per core.
-    std::unordered_set<ReqId> done_;
+    /** Finished, unconsumed core requests (a handful at most). */
+    std::vector<ReqId> done_;
     ReqId nextId_ = 1;
     CoherenceStats coherence_;
 };

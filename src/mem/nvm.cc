@@ -6,45 +6,107 @@
 
 namespace ede {
 
-NvmDevice::NvmDevice(NvmParams params)
-    : params_(params), occupancy_(params.bufferSlots, 1)
+NvmDevice::LineIndex::LineIndex(std::uint32_t capacity)
 {
-    slots_.reserve(params_.bufferSlots);
-    readPortFree_.assign(params_.mediaReaders, 0);
+    std::size_t cells = 2;
+    while (cells < 2 * static_cast<std::size_t>(capacity))
+        cells *= 2;
+    cells_.resize(cells);
+    mask_ = cells - 1;
 }
 
-NvmDevice::Slot *
-NvmDevice::findSlot(Addr line_addr)
+std::size_t
+NvmDevice::LineIndex::home(Addr line) const
 {
-    for (Slot &s : slots_) {
-        if (s.lineAddr == line_addr)
-            return &s;
+    // Fibonacci hashing of the line address; the low bits of a media
+    // line are always zero, the high product bits are well mixed.
+    return static_cast<std::size_t>(
+               (line * 0x9E3779B97F4A7C15ull) >> 32) & mask_;
+}
+
+std::uint32_t
+NvmDevice::LineIndex::find(Addr line) const
+{
+    for (std::size_t i = home(line);; i = (i + 1) & mask_) {
+        const Cell &c = cells_[i];
+        if (c.slot == kNoSlot)
+            return kNoSlot;
+        if (c.line == line)
+            return c.slot;
     }
-    return nullptr;
+}
+
+void
+NvmDevice::LineIndex::insert(Addr line, std::uint32_t slot)
+{
+    std::size_t i = home(line);
+    while (cells_[i].slot != kNoSlot)
+        i = (i + 1) & mask_;
+    cells_[i] = Cell{line, slot};
+}
+
+void
+NvmDevice::LineIndex::erase(Addr line)
+{
+    std::size_t i = home(line);
+    while (cells_[i].line != line || cells_[i].slot == kNoSlot)
+        i = (i + 1) & mask_;
+    // Backward-shift deletion: pull later members of the probe run
+    // into the hole unless that would move them before their home.
+    for (std::size_t j = (i + 1) & mask_; cells_[j].slot != kNoSlot;
+         j = (j + 1) & mask_) {
+        const std::size_t h = home(cells_[j].line);
+        const bool movable = i <= j ? (h <= i || h > j)
+                                    : (h <= i && h > j);
+        if (movable) {
+            cells_[i] = cells_[j];
+            i = j;
+        }
+    }
+    cells_[i] = Cell{};
+}
+
+NvmDevice::NvmDevice(NvmParams params)
+    : params_(params), index_(params.bufferSlots),
+      occupancy_(params.bufferSlots, 1)
+{
+    slots_.resize(params_.bufferSlots);
+    freeSlots_.reserve(params_.bufferSlots);
+    for (std::uint32_t i = params_.bufferSlots; i-- > 0;)
+        freeSlots_.push_back(i);
+    inflight_.reserve(params_.mediaWriters);
+    readPortFree_.assign(params_.mediaReaders, 0);
 }
 
 bool
 NvmDevice::acceptWrite(const MemReq &req, Cycle now, bool is_clean)
 {
     const Addr line = mediaLine(req.addr);
-    Slot *slot = findSlot(line);
-    if (slot) {
+    const std::uint32_t id = index_.find(line);
+    if (id != kNoSlot) {
         ++stats_.writesCoalesced;
         // A write being pushed to the media cannot absorb new data;
-        // coalescing into it would lose the update.  Re-arm the slot.
-        if (slot->writing) {
-            slot->writing = false;
-            slot->enqueued = now;
+        // coalescing into it would lose the update.  Re-arm the slot:
+        // it waits again, keeping its insertion order.
+        Slot &slot = slots_[id];
+        if (slot.writing) {
+            slot.writing = false;
+            slot.enqueued = now;
+            inflight_.erase(
+                std::find(inflight_.begin(), inflight_.end(), id));
+            waiting_.push(Waiting{now, slot.order, id});
         }
     } else {
-        if (slots_.size() >= params_.bufferSlots) {
+        if (freeSlots_.empty()) {
             ++stats_.bufferFullRejects;
             return false;
         }
-        Slot fresh;
-        fresh.lineAddr = line;
-        fresh.enqueued = now;
-        slots_.push_back(fresh);
+        const std::uint32_t fresh = freeSlots_.back();
+        freeSlots_.pop_back();
+        slots_[fresh] = Slot{line, now, nextOrder_++, false, 0};
+        index_.insert(line, fresh);
+        ++live_;
+        waiting_.push(Waiting{now, slots_[fresh].order, fresh});
     }
     ++stats_.writesAccepted;
     if (is_clean) {
@@ -60,6 +122,18 @@ NvmDevice::acceptWrite(const MemReq &req, Cycle now, bool is_clean)
                      req.core);
     }
     return true;
+}
+
+void
+NvmDevice::startWrite(std::uint32_t id, Cycle now)
+{
+    Slot &slot = slots_[id];
+    slot.writing = true;
+    slot.writeDone = now + params_.writeLatency;
+    auto pos = inflight_.begin();
+    while (pos != inflight_.end() && slots_[*pos].order < slot.order)
+        ++pos;
+    inflight_.insert(pos, id);
 }
 
 bool
@@ -100,7 +174,7 @@ NvmDevice::tick(Cycle now, std::vector<MemResp> &out)
     while (!readQ_.empty()) {
         const MemReq &req = readQ_.front();
         const Addr line = mediaLine(req.addr);
-        if (findSlot(line)) {
+        if (index_.find(line) != kNoSlot) {
             // Served from the pending-write buffer.
             ++stats_.reads;
             ++stats_.bufferReadHits;
@@ -122,42 +196,36 @@ NvmDevice::tick(Cycle now, std::vector<MemResp> &out)
         readQ_.pop_front();
     }
 
-    // Media write ports: finish in-flight writes, then launch new
-    // ones oldest-first.
-    for (auto it = slots_.begin(); it != slots_.end();) {
-        if (it->writing && it->writeDone <= now) {
-            ++stats_.mediaWrites;
-            // Fig. 10 sample: pending writes when a store reaches the
-            // media (the completing write still occupies its slot).
-            occupancy_.sample(slots_.size());
-            if (mediaWriteHook_)
-                mediaWriteHook_(it->lineAddr, now);
-            it = slots_.erase(it);
-        } else {
+    // Media write ports: finish in-flight writes (in insertion
+    // order), then launch waiting ones oldest-first.
+    for (auto it = inflight_.begin(); it != inflight_.end();) {
+        const Slot &slot = slots_[*it];
+        if (slot.writeDone > now) {
             ++it;
+            continue;
         }
+        ++stats_.mediaWrites;
+        // Fig. 10 sample: pending writes when a store reaches the
+        // media (the completing write still occupies its slot).
+        occupancy_.sample(live_);
+        if (mediaWriteHook_)
+            mediaWriteHook_(slot.lineAddr, now);
+        index_.erase(slot.lineAddr);
+        freeSlots_.push_back(*it);
+        --live_;
+        it = inflight_.erase(it);
     }
-    std::uint32_t busy = 0;
-    for (const Slot &s : slots_)
-        busy += s.writing ? 1 : 0;
-    while (busy < params_.mediaWriters) {
-        Slot *oldest = nullptr;
-        for (Slot &s : slots_) {
-            if (!s.writing && (!oldest || s.enqueued < oldest->enqueued))
-                oldest = &s;
-        }
-        if (!oldest)
-            break;
-        oldest->writing = true;
-        oldest->writeDone = now + params_.writeLatency;
-        ++busy;
+    while (inflight_.size() < params_.mediaWriters && !waiting_.empty()) {
+        const std::uint32_t id = waiting_.top().slot;
+        waiting_.pop();
+        startWrite(id, now);
     }
 }
 
 bool
 NvmDevice::idle() const
 {
-    return slots_.empty() && readQ_.empty() && completions_.empty();
+    return live_ == 0 && readQ_.empty() && completions_.empty();
 }
 
 Cycle
@@ -174,19 +242,11 @@ NvmDevice::nextEventCycle(Cycle now) const
                                              readPortFree_.end());
         next = std::min(next, std::max(now, port));
     }
-    bool launchable = false;
-    std::uint32_t busy = 0;
-    for (const Slot &s : slots_) {
-        if (s.writing) {
-            ++busy;
-            next = std::min(next, std::max(now, s.writeDone));
-        } else {
-            launchable = true;
-        }
-    }
+    for (std::uint32_t id : inflight_)
+        next = std::min(next, std::max(now, slots_[id].writeDone));
     // Writer slots free only at a writeDone (covered above), but be
     // defensive: a launchable slot with a free writer acts this cycle.
-    if (launchable && busy < params_.mediaWriters)
+    if (!waiting_.empty() && inflight_.size() < params_.mediaWriters)
         next = std::min(next, now);
     return next;
 }

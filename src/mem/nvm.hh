@@ -13,6 +13,22 @@
  *
  * Every time a write reaches the media, the current buffer occupancy
  * is sampled -- this is exactly the Fig. 10 distribution.
+ *
+ * The device is event-driven: a tick costs O(events), not O(slots).
+ * It keeps three orderings that the results depend on:
+ *  - launch order: a free media writer takes the waiting slot with the
+ *    smallest (enqueued cycle, insertion order).  Insertion order is
+ *    the order in which slots were created by fresh accepts; a slot
+ *    re-armed by a coalesce keeps its place in it, so a re-arm and a
+ *    fresh accept in the same cycle launch re-arm first;
+ *  - completion order: writes finishing in the same tick retire (and
+ *    fire the media-write hook and the occupancy sample) in insertion
+ *    order;
+ *  - at most mediaWriters slots are writing; they are exactly the
+ *    in-flight list, so the busy count and the earliest writeDone
+ *    behind nextEventCycle are exact, never early.
+ * A line -> slot index makes coalescing, buffer-full rejects and read
+ * hits O(1).  DESIGN.md section 10 states the same invariants.
  */
 
 #ifndef EDE_MEM_NVM_HH
@@ -119,7 +135,7 @@ class NvmDevice
     Cycle nextEventCycle(Cycle now) const;
 
     /** Current number of pending writes in the on-DIMM buffer. */
-    std::size_t bufferOccupancy() const { return slots_.size(); }
+    std::size_t bufferOccupancy() const { return live_; }
 
     /** Fig. 10 distribution: occupancy sampled at each media write. */
     const Distribution &occupancyDist() const { return occupancy_; }
@@ -180,12 +196,30 @@ class NvmDevice
     const NvmParams &params() const { return params_; }
 
   private:
+    /** No slot (free-list and index sentinel). */
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
     struct Slot
     {
         Addr lineAddr = 0;        ///< 256 B aligned media line.
         Cycle enqueued = 0;
+        std::uint64_t order = 0;  ///< Insertion order (fresh accepts).
         bool writing = false;
         Cycle writeDone = 0;
+    };
+
+    /** A waiting slot, keyed by its launch priority. */
+    struct Waiting
+    {
+        Cycle enqueued;
+        std::uint64_t order;
+        std::uint32_t slot;
+        bool
+        operator>(const Waiting &o) const
+        {
+            return enqueued != o.enqueued ? enqueued > o.enqueued
+                                          : order > o.order;
+        }
     };
 
     struct Pending
@@ -195,16 +229,50 @@ class NvmDevice
         bool operator>(const Pending &o) const { return due > o.due; }
     };
 
+    /**
+     * Open-addressing media line -> slot map (linear probing,
+     * backward-shift deletion), sized to twice the buffer.
+     */
+    class LineIndex
+    {
+      public:
+        explicit LineIndex(std::uint32_t capacity);
+        std::uint32_t find(Addr line) const;
+        void insert(Addr line, std::uint32_t slot);
+        void erase(Addr line);
+
+      private:
+        std::size_t home(Addr line) const;
+
+        struct Cell
+        {
+            Addr line = 0;
+            std::uint32_t slot = kNoSlot;
+        };
+        std::vector<Cell> cells_;
+        std::size_t mask_ = 0;
+    };
+
     Addr mediaLine(Addr a) const
     {
         return a & ~static_cast<Addr>(params_.lineBytes - 1);
     }
 
-    Slot *findSlot(Addr line_addr);
     bool acceptWrite(const MemReq &req, Cycle now, bool is_clean);
 
+    /** Add @p slot to the in-flight list, keeping insertion order. */
+    void startWrite(std::uint32_t slot, Cycle now);
+
     NvmParams params_;
-    std::vector<Slot> slots_;            ///< Pending buffer entries.
+    std::vector<Slot> slots_;            ///< bufferSlots records.
+    std::vector<std::uint32_t> freeSlots_;
+    std::size_t live_ = 0;               ///< Occupied slots.
+    std::uint64_t nextOrder_ = 0;
+    LineIndex index_;
+    std::priority_queue<Waiting, std::vector<Waiting>,
+                        std::greater<Waiting>> waiting_;
+    /** Writing slots, ascending insertion order (<= mediaWriters). */
+    std::vector<std::uint32_t> inflight_;
     std::deque<MemReq> readQ_;
     std::priority_queue<Pending, std::vector<Pending>,
                         std::greater<Pending>> completions_;

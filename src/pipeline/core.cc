@@ -37,6 +37,7 @@ resolveTickingMode(TickingMode mode)
 
 OoOCore::OoOCore(CoreParams params, MemSystem &mem, unsigned coreId)
     : params_(params), mem_(mem), coreId_(coreId),
+      rob_(static_cast<std::size_t>(std::max(params.robSize, 1))),
       predictor_(params.predictorEntries)
 {
     ticking_ = resolveTickingMode(params_.ticking);
@@ -44,25 +45,33 @@ OoOCore::OoOCore(CoreParams params, MemSystem &mem, unsigned coreId)
     wb_ = std::make_unique<WriteBuffer>(
         params_.wbSize, params_.wbDrainPerCycle,
         mem_.params().l1d.lineBytes, mem_,
-        [this](const WbEntry &e, Cycle now) { onWbComplete(e, now); },
-        [this](SeqNum barrier) { return storesOlderIncomplete(barrier); },
-        coreId);
-}
-
-InflightInst *
-OoOCore::find(SeqNum seq)
-{
-    auto it = index_.find(seq);
-    return it == index_.end() ? nullptr : it->second;
+        static_cast<WriteBufferOwner &>(*this), coreId);
 }
 
 bool
 OoOCore::regsReady(const InflightInst &inst) const
 {
     for (SeqNum dep : {inst.regDep1, inst.regDep2, inst.regDepBase}) {
-        if (dep != kNoSeq && notExecuted_.count(dep))
+        if (dep != kNoSeq && awaitingExec(dep))
             return false;
     }
+    return true;
+}
+
+bool
+OoOCore::regsReadyCached(InflightInst &inst) const
+{
+    if (inst.regsDone)
+        return true;
+    if (inst.regWait != kNoSeq && awaitingExec(inst.regWait))
+        return false;
+    for (SeqNum dep : {inst.regDep1, inst.regDep2, inst.regDepBase}) {
+        if (dep != kNoSeq && awaitingExec(dep)) {
+            inst.regWait = dep;
+            return false;
+        }
+    }
+    inst.regsDone = true;
     return true;
 }
 
@@ -82,9 +91,9 @@ OoOCore::gatesAtIssue(const InflightInst &inst) const
 bool
 OoOCore::edeIssueReady(const InflightInst &inst) const
 {
-    if (inst.edeSrc != kNoSeq && incomplete_.count(inst.edeSrc))
+    if (inst.edeSrc != kNoSeq && isIncomplete(inst.edeSrc))
         return false;
-    if (inst.edeSrc2 != kNoSeq && incomplete_.count(inst.edeSrc2))
+    if (inst.edeSrc2 != kNoSeq && isIncomplete(inst.edeSrc2))
         return false;
     return true;
 }
@@ -92,15 +101,9 @@ OoOCore::edeIssueReady(const InflightInst &inst) const
 bool
 OoOCore::storesOlderIncomplete(SeqNum barrier) const
 {
-    auto st = incompleteStores_.begin();
-    if (st != incompleteStores_.end() && *st < barrier)
-        return true;
-    if (params_.dmbStCoversCvap) {
-        auto cv = incompleteCvaps_.begin();
-        if (cv != incompleteCvaps_.end() && *cv < barrier)
-            return true;
-    }
-    return false;
+    return incompleteStores_.olderThan(barrier) ||
+           (params_.dmbStCoversCvap &&
+            incompleteCvaps_.olderThan(barrier));
 }
 
 void
@@ -163,8 +166,8 @@ OoOCore::pollLoads(Cycle now)
             ede_assert(in, "load completion for unknown seq ",
                        it->second);
             in->executed = true;
+            in->execPending = false;
             in->execCycle = now;
-            notExecuted_.erase(in->seq);
             completeSeq(in->seq, in->di.si, in->traceIdx, now);
             it = outstandingLoads_.erase(it);
         } else {
@@ -195,8 +198,8 @@ OoOCore::execWriteback(Cycle now)
         if (!in)
             continue; // Squashed after the event was scheduled.
         in->executed = true;
+        in->execPending = false;
         in->execCycle = now;
-        notExecuted_.erase(seq);
         const Op op = in->di.op();
         switch (op) {
           case Op::Str:
@@ -229,15 +232,10 @@ void
 OoOCore::checkDmbCompletion(Cycle now)
 {
     while (!incompleteDmbs_.empty()) {
-        const SeqNum d = *incompleteDmbs_.begin();
-        auto older_in = [d](const std::set<SeqNum> &s) {
-            return !s.empty() && *s.begin() < d;
-        };
-        if (older_in(incompleteStores_))
+        const SeqNum d = incompleteDmbs_.front();
+        if (storesOlderIncomplete(d))
             break;
-        if (params_.dmbStCoversCvap && older_in(incompleteCvaps_))
-            break;
-        incompleteDmbs_.erase(incompleteDmbs_.begin());
+        incompleteDmbs_.erase(d);
         InflightInst *in = find(d);
         ede_assert(in, "DMB completion for unknown seq ", d);
         completeSeq(d, in->di.si, in->traceIdx, now);
@@ -248,10 +246,10 @@ void
 OoOCore::checkDsbCompletion(Cycle now)
 {
     while (!incompleteDsbs_.empty()) {
-        const SeqNum d = *incompleteDsbs_.begin();
-        if (incomplete_.empty() || *incomplete_.begin() != d)
+        const SeqNum d = incompleteDsbs_.front();
+        if (incomplete_.empty() || incomplete_.front() != d)
             break; // Some older instruction is still incomplete.
-        incompleteDsbs_.erase(incompleteDsbs_.begin());
+        incompleteDsbs_.erase(d);
         InflightInst *in = find(d);
         ede_assert(in, "DSB completion for unknown seq ", d);
         in->executed = true;
@@ -315,7 +313,7 @@ OoOCore::retire(Cycle now)
         // Retirement commits this producer's mapping into the
         // non-speculative EDM -- unless it already completed, in
         // which case the link is dead.
-        if (h.di.si.isEdeProducer() && incomplete_.count(h.seq))
+        if (h.di.si.isEdeProducer() && !h.completed)
             edm_.retireDefine(h.di.si.edkDef, h.seq);
 
         h.retireCycle = now;
@@ -328,8 +326,7 @@ OoOCore::retire(Cycle now)
             sq_.front() == h.seq) {
             sq_.pop_front();
         }
-        index_.erase(h.seq);
-        rob_.pop_front();
+        rob_.popFront();
     }
 }
 
@@ -338,10 +335,10 @@ OoOCore::issue(Cycle now)
 {
     const SeqNum dsb_gate = incompleteDsbs_.empty()
         ? std::numeric_limits<SeqNum>::max()
-        : *incompleteDsbs_.begin();
+        : incompleteDsbs_.front();
     const SeqNum dmb_gate = incompleteDmbs_.empty()
         ? std::numeric_limits<SeqNum>::max()
-        : *incompleteDmbs_.begin();
+        : incompleteDmbs_.front();
 
     int alu = params_.aluUnits;
     int mul = params_.mulUnits;
@@ -359,7 +356,7 @@ OoOCore::issue(Cycle now)
         InflightInst *inp = find(s);
         ede_assert(inp && inp->inIq, "stale IQ entry ", s);
         InflightInst &in = *inp;
-        if (!regsReady(in))
+        if (!regsReadyCached(in))
             continue;
         if (gatesAtIssue(in) && !edeIssueReady(in))
             continue; // eDepReady clear (Section V-B1).
@@ -407,9 +404,9 @@ OoOCore::issue(Cycle now)
             if (load <= 0)
                 break;
             if (in.memDep != kNoSeq) {
-                if (notExecuted_.count(in.memDep))
+                if (awaitingExec(in.memDep))
                     break; // Store address/data not ready yet.
-                if (incomplete_.count(in.memDep)) {
+                if (isIncomplete(in.memDep)) {
                     if (!in.memDepCovers)
                         break; // Partial overlap: wait for the store.
                     --load;
@@ -490,13 +487,10 @@ OoOCore::dispatch(Cycle now)
             return;
         }
 
-        rob_.emplace_back();
-        InflightInst &in = rob_.back();
+        InflightInst &in = rob_.push(nextSeq_++);
         in.di = di;
-        in.seq = nextSeq_++;
         in.traceIdx = fetchIdx_;
         in.dispatchCycle = now;
-        index_.emplace(in.seq, &in);
         ++fetchIdx_;
         ++stats_.dispatched;
         progress_ = true;
@@ -533,7 +527,7 @@ OoOCore::dispatch(Cycle now)
             const Addr lo = di.addr;
             const Addr hi = di.addr + si.size;
             for (auto it = sq_.rbegin(); it != sq_.rend(); ++it) {
-                const InflightInst *st = index_.at(*it);
+                const InflightInst *st = rob_.find(*it);
                 if (!st->di.isStore())
                     continue;
                 const Addr slo = st->di.addr;
@@ -564,32 +558,32 @@ OoOCore::dispatch(Cycle now)
             // once all older store-class operations have, and that
             // holds younger memory operations at issue until then.
             in.executed = true;
-            incomplete_.insert(in.seq);
-            incompleteDmbs_.insert(in.seq);
+            incomplete_.push(in.seq);
+            incompleteDmbs_.push(in.seq);
             dmbSeqs_.push_back(in.seq);
             break;
           case Op::WaitKey:
           case Op::WaitAllKeys:
             in.executed = true;
-            incomplete_.insert(in.seq);
+            incomplete_.push(in.seq);
             break;
           case Op::DsbSy:
-            incomplete_.insert(in.seq);
-            incompleteDsbs_.insert(in.seq);
+            incomplete_.push(in.seq);
+            incompleteDsbs_.push(in.seq);
             break;
           case Op::Join:
-            incomplete_.insert(in.seq);
+            incomplete_.push(in.seq);
             if (params_.ede == EnforceMode::WB) {
                 in.executed = true; // Gated in the write buffer.
             } else {
-                notExecuted_.insert(in.seq);
+                in.execPending = true;
                 iq_.push_back(in.seq);
                 in.inIq = true;
             }
             break;
           default:
-            notExecuted_.insert(in.seq);
-            incomplete_.insert(in.seq);
+            in.execPending = true;
+            incomplete_.push(in.seq);
             iq_.push_back(in.seq);
             in.inIq = true;
             if (op == Op::Ldr)
@@ -597,12 +591,12 @@ OoOCore::dispatch(Cycle now)
             if (opIsStore(op) || opIsCvap(op))
                 sq_.push_back(in.seq);
             if (opIsStore(op)) {
-                incompleteStores_.insert(in.seq);
+                incompleteStores_.push(in.seq);
                 if (!dmbSeqs_.empty())
                     in.dmbBarrier = dmbSeqs_.back();
             }
             if (opIsCvap(op)) {
-                incompleteCvaps_.insert(in.seq);
+                incompleteCvaps_.push(in.seq);
                 if (params_.dmbStCoversCvap && !dmbSeqs_.empty())
                     in.dmbBarrier = dmbSeqs_.back();
             }
@@ -647,8 +641,7 @@ OoOCore::squash(InflightInst &branch, Cycle now)
             outstandingLoads_.erase(x.loadReq)) {
             orphanReqs_.insert(x.loadReq);
         }
-        index_.erase(x.seq);
-        rob_.pop_back();
+        rob_.popBack();
     }
 
     auto prune_seqs = [bseq](auto &container) {
@@ -658,17 +651,11 @@ OoOCore::squash(InflightInst &branch, Cycle now)
     prune_seqs(iq_);
     prune_seqs(lq_);
     prune_seqs(sq_);
-    notExecuted_.erase(notExecuted_.upper_bound(bseq),
-                       notExecuted_.end());
-    incomplete_.erase(incomplete_.upper_bound(bseq), incomplete_.end());
-    incompleteStores_.erase(incompleteStores_.upper_bound(bseq),
-                            incompleteStores_.end());
-    incompleteCvaps_.erase(incompleteCvaps_.upper_bound(bseq),
-                           incompleteCvaps_.end());
-    incompleteDsbs_.erase(incompleteDsbs_.upper_bound(bseq),
-                          incompleteDsbs_.end());
-    incompleteDmbs_.erase(incompleteDmbs_.upper_bound(bseq),
-                          incompleteDmbs_.end());
+    incomplete_.truncateAbove(bseq);
+    incompleteStores_.truncateAbove(bseq);
+    incompleteCvaps_.truncateAbove(bseq);
+    incompleteDsbs_.truncateAbove(bseq);
+    incompleteDmbs_.truncateAbove(bseq);
     while (!dmbSeqs_.empty() && dmbSeqs_.back() > bseq)
         dmbSeqs_.pop_back();
 
@@ -676,7 +663,7 @@ OoOCore::squash(InflightInst &branch, Cycle now)
     // in-flight producer definitions (Section V-A1).
     std::vector<std::pair<Edk, SeqNum>> survivors;
     for (const InflightInst &in : rob_) {
-        if (in.di.si.isEdeProducer() && incomplete_.count(in.seq))
+        if (in.di.si.isEdeProducer() && !in.completed)
             survivors.emplace_back(in.di.si.edkDef, in.seq);
     }
     edm_.squashRestore(survivors);
@@ -713,7 +700,7 @@ bool
 OoOCore::edkNodeProgressing(SeqNum s,
                             std::vector<SeqNum> &blockers) const
 {
-    if (!incomplete_.count(s))
+    if (!isIncomplete(s))
         return true;
 
     // Write-buffer resident?
@@ -728,17 +715,14 @@ OoOCore::edkNodeProgressing(SeqNum s,
             blockers.push_back(e.srcId2);
         wb_->appendLineBlockers(s, blockers);
         if (e.dmbBarrier != kNoSeq) {
-            auto st = incompleteStores_.begin();
-            if (st != incompleteStores_.end() && *st < e.dmbBarrier &&
-                *st != s) {
-                blockers.push_back(*st);
+            if (incompleteStores_.olderThan(e.dmbBarrier) &&
+                incompleteStores_.front() != s) {
+                blockers.push_back(incompleteStores_.front());
             }
-            if (params_.dmbStCoversCvap) {
-                auto cv = incompleteCvaps_.begin();
-                if (cv != incompleteCvaps_.end() &&
-                    *cv < e.dmbBarrier && *cv != s) {
-                    blockers.push_back(*cv);
-                }
+            if (params_.dmbStCoversCvap &&
+                incompleteCvaps_.olderThan(e.dmbBarrier) &&
+                incompleteCvaps_.front() != s) {
+                blockers.push_back(incompleteCvaps_.front());
             }
         }
         // No gate left: the push starts as soon as the L1D accepts
@@ -746,10 +730,10 @@ OoOCore::edkNodeProgressing(SeqNum s,
         return blockers.empty();
     }
 
-    auto it = index_.find(s);
-    if (it == index_.end())
+    const InflightInst *inp = rob_.find(s);
+    if (!inp)
         return false; // Incomplete but untracked: a dangling link.
-    const InflightInst &in = *it->second;
+    const InflightInst &in = *inp;
     if (in.completed)
         return true;
     if (in.di.isLoad() && in.loadReq != kNoReq)
@@ -760,20 +744,15 @@ OoOCore::edkNodeProgressing(SeqNum s,
     const Op op = in.di.op();
     switch (op) {
       case Op::DmbSt: {
-        auto st = incompleteStores_.begin();
-        if (st != incompleteStores_.end() && *st < s)
-            blockers.push_back(*st);
-        if (params_.dmbStCoversCvap) {
-            auto cv = incompleteCvaps_.begin();
-            if (cv != incompleteCvaps_.end() && *cv < s)
-                blockers.push_back(*cv);
-        }
+        if (incompleteStores_.olderThan(s))
+            blockers.push_back(incompleteStores_.front());
+        if (params_.dmbStCoversCvap && incompleteCvaps_.olderThan(s))
+            blockers.push_back(incompleteCvaps_.front());
         return blockers.empty();
       }
       case Op::DsbSy: {
-        auto ol = incomplete_.begin();
-        if (ol != incomplete_.end() && *ol < s)
-            blockers.push_back(*ol);
+        if (incomplete_.olderThan(s))
+            blockers.push_back(incomplete_.front());
         return blockers.empty();
       }
       case Op::WaitKey:
@@ -807,31 +786,27 @@ OoOCore::edkNodeProgressing(SeqNum s,
 
     if (in.inIq) {
         if (gatesAtIssue(in)) {
-            if (in.edeSrc != kNoSeq && incomplete_.count(in.edeSrc))
+            if (in.edeSrc != kNoSeq && isIncomplete(in.edeSrc))
                 blockers.push_back(in.edeSrc);
-            if (in.edeSrc2 != kNoSeq && incomplete_.count(in.edeSrc2))
+            if (in.edeSrc2 != kNoSeq && isIncomplete(in.edeSrc2))
                 blockers.push_back(in.edeSrc2);
         }
         for (SeqNum dep : {in.regDep1, in.regDep2, in.regDepBase}) {
-            if (dep != kNoSeq && notExecuted_.count(dep))
+            if (dep != kNoSeq && awaitingExec(dep))
                 blockers.push_back(dep);
         }
         if (op == Op::Ldr && in.memDep != kNoSeq) {
-            if (notExecuted_.count(in.memDep)) {
+            if (awaitingExec(in.memDep)) {
                 blockers.push_back(in.memDep);
-            } else if (incomplete_.count(in.memDep) &&
+            } else if (isIncomplete(in.memDep) &&
                        !in.memDepCovers) {
                 blockers.push_back(in.memDep);
             }
         }
-        if (!incompleteDsbs_.empty() &&
-            *incompleteDsbs_.begin() < s) {
-            blockers.push_back(*incompleteDsbs_.begin());
-        }
-        if (in.di.isMemRef() && !incompleteDmbs_.empty() &&
-            *incompleteDmbs_.begin() < s) {
-            blockers.push_back(*incompleteDmbs_.begin());
-        }
+        if (incompleteDsbs_.olderThan(s))
+            blockers.push_back(incompleteDsbs_.front());
+        if (in.di.isMemRef() && incompleteDmbs_.olderThan(s))
+            blockers.push_back(incompleteDmbs_.front());
         // No gate: only functional-unit bandwidth holds it back.
         return blockers.empty();
     }
@@ -894,10 +869,9 @@ OoOCore::edkChainNode(SeqNum s, const EdkWalk &walk) const
     auto w = walk.waitsOn.find(s);
     if (w != walk.waitsOn.end())
         n.waitsOn = w->second;
-    auto it = index_.find(s);
-    if (it != index_.end()) {
-        n.traceIdx = it->second->traceIdx;
-        n.op = it->second->di.op();
+    if (const InflightInst *in = rob_.find(s)) {
+        n.traceIdx = in->traceIdx;
+        n.op = in->di.op();
         return n;
     }
     for (const WbEntry &e : wb_->entries()) {
@@ -1030,14 +1004,14 @@ OoOCore::buildSimError(SimErrorKind kind, Cycle now) const
 
     const SeqNum dsb_gate = incompleteDsbs_.empty()
         ? std::numeric_limits<SeqNum>::max()
-        : *incompleteDsbs_.begin();
+        : incompleteDsbs_.front();
     for (SeqNum s : iq_) {
         if (e.iqWaits.size() >= 8)
             break;
-        auto it = index_.find(s);
-        if (it == index_.end())
+        const InflightInst *inp = rob_.find(s);
+        if (!inp)
             continue;
-        const InflightInst &in = *it->second;
+        const InflightInst &in = *inp;
         IqWaitInfo w;
         w.seq = in.seq;
         w.op = in.di.op();
@@ -1097,26 +1071,19 @@ OoOCore::tickOnce(Cycle now)
 void
 OoOCore::tickPipeline(Cycle now)
 {
-    {
-        PhaseTimer t(profile_, &HostProfile::memNanos);
-        pollLoads(now);
-    }
-    {
-        PhaseTimer t(profile_, &HostProfile::wbNanos);
-        execWriteback(now);
-        wb_->tick(now);
-        checkDmbCompletion(now);
-        checkDsbCompletion(now);
-        retire(now);
-    }
-    {
-        PhaseTimer t(profile_, &HostProfile::issueNanos);
-        issue(now);
-    }
-    {
-        PhaseTimer t(profile_, &HostProfile::fetchNanos);
-        dispatch(now);
-    }
+    PhaseLaps laps(profile_);
+    pollLoads(now);
+    laps.lap(&HostProfile::memNanos);
+    execWriteback(now);
+    wb_->tick(now);
+    checkDmbCompletion(now);
+    checkDsbCompletion(now);
+    retire(now);
+    laps.lap(&HostProfile::wbNanos);
+    issue(now);
+    laps.lap(&HostProfile::issueNanos);
+    dispatch(now);
+    laps.lap(&HostProfile::fetchNanos);
 }
 
 bool

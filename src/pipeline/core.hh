@@ -39,7 +39,6 @@
 #include <deque>
 #include <memory>
 #include <queue>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -55,6 +54,7 @@
 #include "pipeline/inflight.hh"
 #include "pipeline/params.hh"
 #include "pipeline/predictor.hh"
+#include "pipeline/rob.hh"
 #include "pipeline/sim_error.hh"
 #include "pipeline/write_buffer.hh"
 #include "trace/trace.hh"
@@ -96,7 +96,7 @@ struct CoreStats
 };
 
 /** The out-of-order core. */
-class OoOCore
+class OoOCore final : private WriteBufferOwner
 {
   public:
     /**
@@ -313,14 +313,43 @@ class OoOCore
     EdkChainNode edkChainNode(SeqNum s, const EdkWalk &walk) const;
     void applyEdkDegrade(const EdkStallAnalysis &a, Cycle now);
 
-    InflightInst *find(SeqNum seq);
+    InflightInst *find(SeqNum seq) { return rob_.find(seq); }
+
+    /** True while @p seq is in flight and has not yet executed. */
+    bool
+    awaitingExec(SeqNum seq) const
+    {
+        const InflightInst *in = rob_.find(seq);
+        return in && in->execPending;
+    }
+
+    /**
+     * True while @p seq has not completed: an incomplete ROB entry,
+     * or a retired store-class instruction still in the write buffer.
+     */
+    bool
+    isIncomplete(SeqNum seq) const
+    {
+        if (const InflightInst *in = rob_.find(seq))
+            return !in->completed;
+        return wb_->holds(seq);
+    }
+
     bool regsReady(const InflightInst &inst) const;
+
+    /**
+     * regsReady for the issue scan: remembers the producer that was
+     * still executing, so an entry blocked on a long-latency load
+     * costs one lookup per tick, and that readiness, once reached,
+     * is permanent (producers only ever finish executing).
+     */
+    bool regsReadyCached(InflightInst &inst) const;
     bool edeIssueReady(const InflightInst &inst) const;
     bool gatesAtIssue(const InflightInst &inst) const;
     void completeSeq(SeqNum seq, const StaticInst &si,
                      std::size_t trace_idx, Cycle now);
-    void onWbComplete(const WbEntry &entry, Cycle now);
-    bool storesOlderIncomplete(SeqNum barrier) const;
+    void onWbComplete(const WbEntry &entry, Cycle now) override;
+    bool storesOlderIncomplete(SeqNum barrier) const override;
     void recordCompletion(std::size_t trace_idx, Cycle now);
     bool finished() const;
     SimError buildSimError(SimErrorKind kind, Cycle now) const;
@@ -338,20 +367,24 @@ class OoOCore
     Cycle fetchResumeAt_ = 0;
     SeqNum nextSeq_ = 1;
 
-    std::deque<InflightInst> rob_;
-    std::unordered_map<SeqNum, InflightInst *> index_;
+    Rob rob_;
     std::vector<SeqNum> iq_;        ///< Age-ordered issue queue.
     std::deque<SeqNum> lq_;
     std::deque<SeqNum> sq_;
     std::unique_ptr<WriteBuffer> wb_;
 
     std::array<SeqNum, kNumArchRegs> regMap_{};
-    std::set<SeqNum> notExecuted_;
-    std::set<SeqNum> incomplete_;
-    std::set<SeqNum> incompleteStores_;
-    std::set<SeqNum> incompleteCvaps_;
-    std::set<SeqNum> incompleteDsbs_;
-    std::set<SeqNum> incompleteDmbs_;
+    /**
+     * Age-ordered incomplete instructions (ROB and write buffer), and
+     * the store-class and fence subsets whose oldest member gates
+     * DMB ST, DSB SY and write-buffer pushes.  Membership tests go
+     * through the per-entry flags (isIncomplete, awaitingExec).
+     */
+    SeqSet incomplete_;
+    SeqSet incompleteStores_;
+    SeqSet incompleteCvaps_;
+    SeqSet incompleteDsbs_;
+    SeqSet incompleteDmbs_;
     std::vector<SeqNum> dmbSeqs_;   ///< All DMB ST seqs, ascending.
 
     Edm edm_;

@@ -36,6 +36,9 @@ struct InflightInst
     /** @name Pipeline state. */
     /// @{
     bool inIq = false;
+    bool execPending = false;  ///< Dispatched to execute, not yet done.
+    bool regsDone = false;     ///< Every register producer executed.
+    SeqNum regWait = kNoSeq;   ///< Producer issue last found unexecuted.
     bool issued = false;
     bool executed = false;
     bool completed = false;

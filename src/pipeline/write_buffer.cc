@@ -1,19 +1,20 @@
 #include "pipeline/write_buffer.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace ede {
 
 WriteBuffer::WriteBuffer(int capacity, int drainPerCycle,
                          std::uint32_t lineBytes, MemSystem &mem,
-                         CompletionFn on_complete, DmbCheckFn dmb_blocked,
-                         unsigned coreId)
+                         WriteBufferOwner &owner, unsigned coreId)
     : capacity_(static_cast<std::size_t>(capacity)),
       drainPerCycle_(drainPerCycle), lineBytes_(lineBytes), mem_(mem),
-      onComplete_(std::move(on_complete)),
-      dmbBlocked_(std::move(dmb_blocked)), coreId_(coreId)
+      owner_(owner), coreId_(coreId)
 {
     ede_assert(capacity > 0, "write buffer needs at least one entry");
+    entries_.reserve(capacity_);
 }
 
 void
@@ -37,12 +38,16 @@ WriteBuffer::insert(WbEntry entry)
         entry.srcId = kNoSeq;
     if (entry.srcId2 != kNoSeq && !present(entry.srcId2))
         entry.srcId2 = kNoSeq;
+    entry.lineBlockers = 0;
+    for (const WbEntry &older : entries_)
+        entry.lineBlockers += lineOrders(older, entry) ? 1 : 0;
     ++stats_.inserted;
+    joins_ += entry.si.op == Op::Join ? 1 : 0;
     entries_.push_back(std::move(entry));
 }
 
 bool
-WriteBuffer::lineConflictBefore(std::size_t idx) const
+WriteBuffer::lineOrders(const WbEntry &older, const WbEntry &younger) const
 {
     // Memory-dependence gating:
     //  - a store must wait for older stores whose bytes overlap
@@ -53,35 +58,31 @@ WriteBuffer::lineConflictBefore(std::size_t idx) const
     //  - a store after a clean, and a clean after a clean, need no
     //    ordering: the younger operation does not disturb what the
     //    older one wrote or captured.
-    const WbEntry &e = entries_[idx];
-    const bool e_is_store = opIsStore(e.si.op);
-    const Addr line = lineOf(e.addr);
-    for (std::size_t i = 0; i < idx; ++i) {
-        const WbEntry &older = entries_[i];
-        if (!opIsStore(older.si.op))
-            continue;
-        if (e_is_store) {
-            const Addr lo = e.addr;
-            const Addr hi = e.addr + e.size;
-            if (older.addr < hi && lo < older.addr + older.size)
-                return true;
-        } else if (lineOf(older.addr) == line) {
-            return true;
-        }
+    if (!opIsStore(older.si.op))
+        return false;
+    if (opIsStore(younger.si.op)) {
+        return older.addr < younger.addr + younger.size &&
+               younger.addr < older.addr + older.size;
     }
-    return false;
+    return lineOf(older.addr) == lineOf(younger.addr);
 }
 
 void
 WriteBuffer::completeEntry(std::size_t idx, Cycle now)
 {
+    // Release the same-line gates this entry imposed on younger ones.
+    for (std::size_t i = idx + 1; i < entries_.size(); ++i) {
+        if (lineOrders(entries_[idx], entries_[i]))
+            --entries_[i].lineBlockers;
+    }
     // Move the entry out first: the completion callback and the
     // srcID broadcast both inspect the buffer.
     WbEntry entry = std::move(entries_[idx]);
     entries_.erase(entries_.begin() +
                    static_cast<std::ptrdiff_t>(idx));
+    joins_ -= entry.si.op == Op::Join ? 1 : 0;
     onProducerComplete(entry.seq);
-    onComplete_(entry, now);
+    owner_.onWbComplete(entry, now);
 }
 
 void
@@ -99,7 +100,9 @@ void
 WriteBuffer::tick(Cycle now)
 {
     // 1. Finished pushes complete (and release their consumers).
-    for (std::size_t i = 0; i < entries_.size();) {
+    //    Nothing can have finished while the hierarchy holds no
+    //    unconsumed completion.
+    for (std::size_t i = 0; mem_.hasPendingDone() && i < entries_.size();) {
         WbEntry &e = entries_[i];
         if (e.pushing && mem_.consumeDone(e.req)) {
             completeEntry(i, now);
@@ -110,7 +113,7 @@ WriteBuffer::tick(Cycle now)
 
     // 2. JOIN entries with both tags cleared are done: they have no
     //    data to push (Section V-D).
-    for (std::size_t i = 0; i < entries_.size();) {
+    for (std::size_t i = 0; joins_ && i < entries_.size();) {
         WbEntry &e = entries_[i];
         if (e.si.op == Op::Join && e.srcId == kNoSeq &&
             e.srcId2 == kNoSeq) {
@@ -131,14 +134,15 @@ WriteBuffer::tick(Cycle now)
             ++stats_.srcIdGated;
             continue;
         }
-        if (lineConflictBefore(i)) {
+        if (e.lineBlockers) {
             ++stats_.lineGated;
             continue;
         }
         // The core sets dmbBarrier only on entries the barrier
         // covers (stores always; cvaps when the conservative LSQ
         // timing is modelled).
-        if (e.dmbBarrier != kNoSeq && dmbBlocked_(e.dmbBarrier)) {
+        if (e.dmbBarrier != kNoSeq &&
+            owner_.storesOlderIncomplete(e.dmbBarrier)) {
             ++stats_.dmbGated;
             continue;
         }
@@ -175,9 +179,10 @@ WriteBuffer::nextEventCycle(Cycle now) const
             continue; // Completion arrives through the memory hint.
         if (e.srcId != kNoSeq || e.srcId2 != kNoSeq)
             continue; // Cleared only by a producer completing.
-        if (lineConflictBefore(i))
+        if (e.lineBlockers)
             continue; // Cleared only by an older entry completing.
-        if (e.dmbBarrier != kNoSeq && dmbBlocked_(e.dmbBarrier))
+        if (e.dmbBarrier != kNoSeq &&
+            owner_.storesOlderIncomplete(e.dmbBarrier))
             continue; // Cleared only by older stores completing.
         return now;   // Push-eligible: the next tick acts on it.
     }
@@ -197,25 +202,22 @@ WriteBuffer::appendLineBlockers(SeqNum seq,
     }
     if (idx == entries_.size())
         return false;
-    // Mirrors lineConflictBefore, but reports *which* older entries
-    // impose the ordering instead of a single yes/no.
-    const WbEntry &e = entries_[idx];
-    const bool e_is_store = opIsStore(e.si.op);
-    const Addr line = lineOf(e.addr);
+    // Reports *which* older entries impose the ordering that
+    // lineBlockers counts.
     for (std::size_t i = 0; i < idx; ++i) {
-        const WbEntry &older = entries_[i];
-        if (!opIsStore(older.si.op))
-            continue;
-        if (e_is_store) {
-            const Addr lo = e.addr;
-            const Addr hi = e.addr + e.size;
-            if (older.addr < hi && lo < older.addr + older.size)
-                out.push_back(older.seq);
-        } else if (lineOf(older.addr) == line) {
-            out.push_back(older.seq);
-        }
+        if (lineOrders(entries_[i], entries_[idx]))
+            out.push_back(entries_[i].seq);
     }
     return true;
+}
+
+bool
+WriteBuffer::holds(SeqNum seq) const
+{
+    auto it = std::lower_bound(
+        entries_.begin(), entries_.end(), seq,
+        [](const WbEntry &e, SeqNum s) { return e.seq < s; });
+    return it != entries_.end() && it->seq == seq;
 }
 
 bool

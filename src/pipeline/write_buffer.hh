@@ -24,8 +24,6 @@
 #define EDE_PIPELINE_WRITE_BUFFER_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <vector>
 
 #include "common/types.hh"
@@ -50,6 +48,12 @@ struct WbEntry
     bool edeCounted = false;    ///< Holds a WaitCounters slot.
     bool pushing = false;
     ReqId req = kNoReq;
+    /**
+     * Older entries in the buffer that gate this one by same-line
+     * ordering (gate 1).  Maintained by the buffer: counted on insert,
+     * decremented as those entries complete.
+     */
+    std::uint32_t lineBlockers = 0;
 };
 
 /** Write-buffer statistics. */
@@ -63,24 +67,32 @@ struct WriteBufferStats
     std::uint64_t memRejected = 0;  ///< L1D refused the push.
 };
 
+/**
+ * What the write buffer needs from the core that owns it, called
+ * directly on the per-tick path.
+ */
+class WriteBufferOwner
+{
+  public:
+    /** An entry completed (is visible / persistent). */
+    virtual void onWbComplete(const WbEntry &entry, Cycle now) = 0;
+
+    /**
+     * True when some *store* older than the barrier sequence number
+     * has not yet completed (the core tracks stores in the store
+     * queue as well as in this buffer).
+     */
+    virtual bool storesOlderIncomplete(SeqNum barrier) const = 0;
+};
+
 /** The write buffer with EDE enforcement support. */
 class WriteBuffer
 {
   public:
-    /** Invoked when an entry completes (is visible / persistent). */
-    using CompletionFn = std::function<void(const WbEntry &, Cycle)>;
-
-    /**
-     * True when some *store* older than the barrier sequence number
-     * has not yet completed (provided by the core, which tracks
-     * stores in the store queue as well as in this buffer).
-     */
-    using DmbCheckFn = std::function<bool(SeqNum)>;
-
     /** @param coreId which private L1 this buffer's pushes target. */
     WriteBuffer(int capacity, int drainPerCycle, std::uint32_t lineBytes,
-                MemSystem &mem, CompletionFn on_complete,
-                DmbCheckFn dmb_blocked, unsigned coreId = 0);
+                MemSystem &mem, WriteBufferOwner &owner,
+                unsigned coreId = 0);
 
     /** True when no entry can be inserted. */
     bool full() const { return entries_.size() >= capacity_; }
@@ -143,7 +155,10 @@ class WriteBuffer
     }
 
     /** Oldest-first contents (watchdog diagnostics). */
-    const std::deque<WbEntry> &entries() const { return entries_; }
+    const std::vector<WbEntry> &entries() const { return entries_; }
+
+    /** True when @p seq occupies an entry (i.e. is incomplete). */
+    bool holds(SeqNum seq) const;
 
     /**
      * Append the sequence numbers of the older entries that currently
@@ -163,17 +178,22 @@ class WriteBuffer
 
   private:
     Addr lineOf(Addr a) const { return a & ~static_cast<Addr>(lineBytes_ - 1); }
-    bool lineConflictBefore(std::size_t idx) const;
+
+    /**
+     * Same-line ordering (gate 1): true when the older entry @p older
+     * must complete before @p younger may push.
+     */
+    bool lineOrders(const WbEntry &older, const WbEntry &younger) const;
     void completeEntry(std::size_t idx, Cycle now);
 
     std::size_t capacity_;
     int drainPerCycle_;
     std::uint32_t lineBytes_;
     MemSystem &mem_;
-    CompletionFn onComplete_;
-    DmbCheckFn dmbBlocked_;
+    WriteBufferOwner &owner_;
     unsigned coreId_ = 0;
-    std::deque<WbEntry> entries_;   ///< Oldest first.
+    std::vector<WbEntry> entries_;  ///< Oldest first.
+    std::size_t joins_ = 0;         ///< JOIN entries held.
     WriteBufferStats stats_;
 };
 

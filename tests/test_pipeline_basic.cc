@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "pipeline/rob.hh"
 #include "sim_test_util.hh"
 
 namespace ede {
@@ -422,6 +423,59 @@ TEST(Pipeline, NopsAndFencesRetireInOrder)
     b.nop();
     sim.run(t);
     EXPECT_EQ(sim.core->stats().retired, 5u);
+}
+
+TEST(Rob, LookupFollowsRetireSquashAndGaps)
+{
+    // Sequence numbers stay unique: after a squash the next dispatch
+    // skips the discarded ones, leaving a gap the lookup must reject.
+    Rob rob(8);
+    for (SeqNum s = 1; s <= 6; ++s)
+        rob.push(s).traceIdx = s * 10;
+    while (rob.back().seq > 3)
+        rob.popBack();                // Squash 4..6.
+    rob.push(7);
+    rob.push(8);
+    for (SeqNum s : {1, 2, 3, 7, 8}) {
+        ASSERT_NE(rob.find(s), nullptr) << s;
+        EXPECT_EQ(rob.find(s)->seq, s);
+    }
+    for (SeqNum s : {0, 4, 5, 6, 9, 100})
+        EXPECT_EQ(rob.find(s), nullptr) << s;
+    EXPECT_EQ(rob.find(2)->traceIdx, 20u);
+
+    rob.popFront();                   // Retire 1..3: the first run ends.
+    rob.popFront();
+    rob.popFront();
+    EXPECT_EQ(rob.find(3), nullptr);
+    EXPECT_EQ(rob.find(7), &rob.front());
+    // The ring wraps: eight more entries reuse the retired slots.
+    while (!rob.empty())
+        rob.popFront();
+    for (SeqNum s = 20; s < 28; ++s)
+        rob.push(s);
+    EXPECT_EQ(rob.size(), 8u);
+    EXPECT_EQ(rob.find(27), &rob.back());
+    EXPECT_EQ(rob.find(8), nullptr);
+}
+
+TEST(SeqSet, OldestHeadAfterEraseAndTruncate)
+{
+    SeqSet set;
+    for (SeqNum s : {3, 5, 9, 12})
+        set.push(s);
+    EXPECT_TRUE(set.olderThan(4));
+    EXPECT_FALSE(set.olderThan(3));
+    set.erase(3);
+    set.erase(4);                     // Not a member: no effect.
+    EXPECT_EQ(set.front(), 5u);
+    set.truncateAbove(9);
+    EXPECT_EQ(std::vector<SeqNum>(set.begin(), set.end()),
+              (std::vector<SeqNum>{5, 9}));
+    set.erase(5);
+    set.erase(9);
+    EXPECT_TRUE(set.empty());
+    EXPECT_FALSE(set.olderThan(100));
 }
 
 } // namespace

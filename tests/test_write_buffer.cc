@@ -12,18 +12,23 @@
 namespace ede {
 namespace {
 
-struct WbFixture : ::testing::Test
+struct WbFixture : ::testing::Test, WriteBufferOwner
 {
     WbFixture() : mem(MemSystemParams{})
     {
-        wb = std::make_unique<WriteBuffer>(
-            4, 2, 64, mem,
-            [this](const WbEntry &e, Cycle) {
-                completed.push_back(e.seq);
-            },
-            [this](SeqNum barrier) {
-                return dmbBlocked && barrier != kNoSeq;
-            });
+        wb = std::make_unique<WriteBuffer>(4, 2, 64, mem, *this);
+    }
+
+    void
+    onWbComplete(const WbEntry &e, Cycle) override
+    {
+        completed.push_back(e.seq);
+    }
+
+    bool
+    storesOlderIncomplete(SeqNum barrier) const override
+    {
+        return dmbBlocked && barrier != kNoSeq;
     }
 
     WbEntry
@@ -254,11 +259,58 @@ TEST_F(WbFixture, ChainedSrcIdsDrainInDependenceOrder)
     EXPECT_EQ(completed[2], 3u);
 }
 
+TEST_F(WbFixture, SameLineChainWithBarrierCountsEachGateOncePerTick)
+{
+    // A warmed DRAM line: a store push hits the L1D and completes two
+    // ticks after it starts (L1 processes it next tick, responds one
+    // cycle later).
+    const Addr a = 0x3000;
+    mem.warmLine(a, 1);
+    dmbBlocked = true;
+    wb->insert(store(1, a));          // pushes at tick 0
+    wb->insert(cvap(2, a));           // same line as 1: line-gated
+    WbEntry s3 = store(3, a + 8);     // disjoint bytes: barrier-gated
+    s3.dmbBarrier = 50;
+    wb->insert(s3);
+    wb->insert(store(4, a));          // overlaps 1: line-gated
+
+    std::vector<SeqNum> blockers;
+    ASSERT_TRUE(wb->appendLineBlockers(2, blockers));
+    ASSERT_TRUE(wb->appendLineBlockers(4, blockers));
+    ASSERT_TRUE(wb->appendLineBlockers(3, blockers));
+    EXPECT_EQ(blockers, (std::vector<SeqNum>{1, 1}));
+
+    // Ticks 0 and 1: entry 1 pushing; 2 and 4 line-gated, 3
+    // barrier-gated -> 2 line + 1 dmb per tick.
+    // Tick 2: 1 completes; 2 and 4 push (drain width 2), 3 gated.
+    // Ticks 3..5: 3 still barrier-gated, nothing else counts.
+    run(6);
+    EXPECT_EQ(completed.front(), 1u);
+    EXPECT_EQ(wb->stats().lineGated, 4u);
+    EXPECT_EQ(wb->stats().dmbGated, 6u);
+    EXPECT_EQ(wb->stats().srcIdGated, 0u);
+    EXPECT_EQ(wb->stats().memRejected, 0u);
+    EXPECT_EQ(wb->stats().pushes, 3u);
+
+    // Releasing the barrier lets 3 push on the next tick.
+    dmbBlocked = false;
+    run(1);
+    EXPECT_EQ(wb->stats().pushes, 4u);
+    EXPECT_EQ(wb->stats().dmbGated, 6u);
+    run(3000);
+    EXPECT_TRUE(wb->empty());
+    EXPECT_EQ(wb->stats().lineGated, 4u);
+}
+
 TEST(WbDeath, OverflowPanics)
 {
+    struct NoOwner : WriteBufferOwner
+    {
+        void onWbComplete(const WbEntry &, Cycle) override {}
+        bool storesOlderIncomplete(SeqNum) const override { return false; }
+    } owner;
     MemSystem mem{MemSystemParams{}};
-    WriteBuffer wb(1, 1, 64, mem, [](const WbEntry &, Cycle) {},
-                   [](SeqNum) { return false; });
+    WriteBuffer wb(1, 1, 64, mem, owner);
     WbEntry e;
     e.seq = 1;
     e.si.op = Op::Str;
