@@ -163,12 +163,17 @@ emitRemoteDrain(CoreGen &g, Config cfg, Edk ownerKey,
     }
 }
 
-/** Warm a core's arena line and close its setup phase. */
+/**
+ * Warm a core's arena line and close its setup phase.  The warming
+ * store goes to offset +32 of the first node: kernels use only +0
+ * and +8, so it never clobbers a value an op wrote there first (rcu's
+ * first list node is arenaNode(0, 0)).
+ */
 void
 emitPreamble(CoreGen &g, unsigned core, const ConcParams &p)
 {
     const RegIndex r = g.temps.get();
-    g.b.str(r, g.temps.get(), arenaNode(core, 0), 0);
+    g.b.str(r, g.temps.get(), arenaNode(core, 0) + 32, 0);
     g.b.movImm(kPaceReg, 0);
     g.b.dsbSy();
     // Paced mode: every core burns one pace quantum before round 0,

@@ -11,8 +11,10 @@
 #ifndef EDE_COMMON_TYPES_HH
 #define EDE_COMMON_TYPES_HH
 
+#include <concepts>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 
 namespace ede {
 
@@ -45,6 +47,16 @@ inline constexpr int kNumArchRegs = 32;
 
 /** Index of the always-zero register (xzr). */
 inline constexpr RegIndex kZeroReg = 31;
+
+/**
+ * S is R or const R.  A record's field list is written once, as
+ * `template <FieldsOf<R> S, class V> void visitFields(S &s, V &&v)`
+ * calling v(name, field) per field, so the one list serves code that
+ * reads a record (a writer, a comparison) and code that fills one (a
+ * reader).
+ */
+template <class S, class R>
+concept FieldsOf = std::same_as<std::remove_const_t<S>, R>;
 
 } // namespace ede
 

@@ -10,6 +10,14 @@ pointLabel(AppId app, Config cfg)
            std::string(configName(cfg));
 }
 
+std::string_view
+pointAppName(const ExperimentPoint &point)
+{
+    if (point.traffic)
+        return "traffic";
+    return point.conc ? concAppName(point.concApp) : appName(point.app);
+}
+
 ExperimentPlan &
 ExperimentPlan::add(ExperimentPoint point)
 {

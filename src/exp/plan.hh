@@ -15,6 +15,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/app.hh"
@@ -71,6 +72,12 @@ struct ExperimentPoint
 
 /** The default point label for @p app under @p cfg. */
 std::string pointLabel(AppId app, Config cfg);
+
+/**
+ * The workload a point runs, as snapshots and JSON artifacts name it:
+ * "traffic", a concurrent kernel's name, or a Table II app's name.
+ */
+std::string_view pointAppName(const ExperimentPoint &point);
 
 /** A list of labeled points, built by grid/axis helpers. */
 class ExperimentPlan

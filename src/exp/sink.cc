@@ -40,11 +40,7 @@ emitCell(std::ostream &os, const ExperimentCell &c)
     const RunResult &r = c.result;
     os << "    {\n";
     os << "      \"label\": \"" << jsonEscape(c.point.label) << "\",\n";
-    os << "      \"app\": \""
-       << (c.point.traffic ? "traffic"
-           : c.point.conc ? concAppName(c.point.concApp)
-                          : appName(c.point.app))
-       << "\",\n";
+    os << "      \"app\": \"" << pointAppName(c.point) << "\",\n";
     os << "      \"config\": \"" << configName(c.point.config)
        << "\",\n";
     os << "      \"fingerprint\": \"" << fingerprintHex(c.fingerprint)
@@ -260,9 +256,7 @@ resultsToJson(const std::string &benchName,
         os << "    {\n";
         os << "      \"label\": \"" << jsonEscape(c.point.label)
            << "\",\n";
-        os << "      \"app\": \""
-           << (c.point.conc ? concAppName(c.point.concApp)
-                            : appName(c.point.app))
+        os << "      \"app\": \"" << pointAppName(c.point)
            << "\",\n";
         os << "      \"config\": \"" << configName(c.point.config)
            << "\",\n";

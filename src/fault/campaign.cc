@@ -240,8 +240,6 @@ classifyConfig(const CampaignOptions &options, Config cfg,
     return result;
 }
 
-constexpr const char *kConfigResultMagic = "ede-campaign-config-v1";
-
 } // namespace
 
 const char *
@@ -312,94 +310,13 @@ CampaignReport::describe() const
 std::string
 serializeConfigResult(const CampaignConfigResult &result)
 {
-    std::ostringstream os;
-    os << kConfigResultMagic << "\n";
-    os << "config " << configName(result.config) << "\n";
-    os << "cycles " << result.cycles << "\n";
-    os << "transientRejects " << result.transientRejects << "\n";
-    os << "tallies " << result.points << ' ' << result.recovered
-       << ' ' << result.tornDetected << ' ' << result.unrecoverable
-       << "\n";
-    os << "results " << result.results.size() << "\n";
-    for (const CrashPointResult &r : result.results) {
-        os << "p " << r.crashCycle << ' '
-           << static_cast<int>(r.outcome) << ' ' << r.entriesTorn
-           << ' ';
-        writePlanTokens(os, r.plan);
-        os << "\n";
-    }
-    os << "failures " << result.failures.size() << "\n";
-    for (const Reproducer &rep : result.failures) {
-        os << "f " << rep.seed << ' ' << configName(rep.config) << ' '
-           << rep.crashCycle << ' ';
-        writePlanTokens(os, rep.plan);
-        os << "\n";
-    }
-    return os.str();
+    return exp::writeRecord(result);
 }
 
 std::optional<CampaignConfigResult>
 deserializeConfigResult(const std::string &text)
 {
-    std::istringstream is(text);
-    std::string magic, key, name;
-    if (!(is >> magic) || magic != kConfigResultMagic)
-        return std::nullopt;
-
-    CampaignConfigResult result;
-    if (!(is >> key >> name) || key != "config")
-        return std::nullopt;
-    const std::optional<Config> cfg = configFromName(name);
-    if (!cfg)
-        return std::nullopt;
-    result.config = *cfg;
-
-    if (!(is >> key >> result.cycles) || key != "cycles")
-        return std::nullopt;
-    if (!(is >> key >> result.transientRejects) ||
-        key != "transientRejects") {
-        return std::nullopt;
-    }
-    if (!(is >> key >> result.points >> result.recovered >>
-          result.tornDetected >> result.unrecoverable) ||
-        key != "tallies") {
-        return std::nullopt;
-    }
-
-    std::size_t n = 0;
-    if (!(is >> key >> n) || key != "results")
-        return std::nullopt;
-    result.results.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        CrashPointResult r;
-        int outcome = 0;
-        if (!(is >> key >> r.crashCycle >> outcome >>
-              r.entriesTorn) ||
-            key != "p" || outcome < 0 ||
-            outcome > static_cast<int>(CrashOutcome::Unrecoverable) ||
-            !readPlanTokens(is, r.plan)) {
-            return std::nullopt;
-        }
-        r.outcome = static_cast<CrashOutcome>(outcome);
-        result.results.push_back(r);
-    }
-
-    if (!(is >> key >> n) || key != "failures")
-        return std::nullopt;
-    result.failures.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        Reproducer rep;
-        if (!(is >> key >> rep.seed >> name >> rep.crashCycle) ||
-            key != "f" || !readPlanTokens(is, rep.plan)) {
-            return std::nullopt;
-        }
-        const std::optional<Config> repCfg = configFromName(name);
-        if (!repCfg)
-            return std::nullopt;
-        rep.config = *repCfg;
-        result.failures.push_back(std::move(rep));
-    }
-    return result;
+    return exp::readRecord<CampaignConfigResult>(text);
 }
 
 std::uint64_t

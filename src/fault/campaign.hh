@@ -83,6 +83,29 @@ struct CampaignConfigResult
     std::vector<Reproducer> failures;  ///< Safe-config only, shrunk.
 };
 
+/** The worker and journal payload of one config (exp/wire.hh). */
+template <FieldsOf<CampaignConfigResult> R, class Io>
+void
+visitFields(R &r, Io &io)
+{
+    namespace wire = exp::wire;
+    io.line("ede-campaign-config-v1");
+    io.line("config", wire::config(r.config));
+    io.line("cycles", r.cycles);
+    io.line("transientRejects", r.transientRejects);
+    io.line("tallies", r.points, r.recovered, r.tornDetected,
+            r.unrecoverable);
+    io.seq("results", r.results, [&](auto &p) {
+        io.line("p", p.crashCycle,
+                wire::enumeration(p.outcome, CrashOutcome::Unrecoverable),
+                p.entriesTorn, p.plan);
+    });
+    io.seq("failures", r.failures, [&](auto &f) {
+        io.line("f", f.seed, wire::config(f.config), f.crashCycle,
+                f.plan);
+    });
+}
+
 /** Campaign parameters; everything flows from one root seed. */
 struct CampaignOptions
 {

@@ -277,22 +277,6 @@ classifyConcConfig(const ConcCampaignOptions &options, Config cfg,
     return result;
 }
 
-constexpr const char *kConcCampaignResultMagic =
-    "ede-conc-campaign-v1";
-
-/** Invariant names never contain spaces; "-" encodes "none". */
-std::string
-invariantToken(const std::string &invariant)
-{
-    return invariant.empty() ? "-" : invariant;
-}
-
-std::string
-invariantFromToken(const std::string &token)
-{
-    return token == "-" ? "" : token;
-}
-
 } // namespace
 
 std::string
@@ -359,100 +343,13 @@ ConcCampaignReport::describe() const
 std::string
 serializeConcCampaignResult(const ConcCampaignConfigResult &result)
 {
-    std::ostringstream os;
-    os << kConcCampaignResultMagic << "\n";
-    os << "config " << configName(result.config) << "\n";
-    os << "cycles " << result.cycles << "\n";
-    os << "transientRejects " << result.transientRejects << "\n";
-    os << "tallies " << result.points << ' ' << result.remotePoints
-       << ' ' << result.recovered << ' ' << result.unrecoverable
-       << "\n";
-    os << "results " << result.results.size() << "\n";
-    for (const ConcCrashPointResult &r : result.results) {
-        os << "p " << r.crashCycle << ' '
-           << static_cast<int>(r.outcome) << ' '
-           << (r.remoteOutstanding ? 1 : 0) << ' '
-           << invariantToken(r.invariant) << ' ';
-        writePlanTokens(os, r.plan);
-        os << "\n";
-    }
-    os << "failures " << result.failures.size() << "\n";
-    for (const ConcReproducer &rep : result.failures) {
-        os << "f " << rep.seed << ' ' << configName(rep.config) << ' '
-           << rep.crashCycle << ' ' << invariantToken(rep.invariant)
-           << ' ';
-        writePlanTokens(os, rep.plan);
-        os << "\n";
-    }
-    return os.str();
+    return exp::writeRecord(result);
 }
 
 std::optional<ConcCampaignConfigResult>
 deserializeConcCampaignResult(const std::string &text)
 {
-    std::istringstream is(text);
-    std::string magic, key, name, token;
-    if (!(is >> magic) || magic != kConcCampaignResultMagic)
-        return std::nullopt;
-
-    ConcCampaignConfigResult result;
-    if (!(is >> key >> name) || key != "config")
-        return std::nullopt;
-    const std::optional<Config> cfg = configFromName(name);
-    if (!cfg)
-        return std::nullopt;
-    result.config = *cfg;
-
-    if (!(is >> key >> result.cycles) || key != "cycles")
-        return std::nullopt;
-    if (!(is >> key >> result.transientRejects) ||
-        key != "transientRejects") {
-        return std::nullopt;
-    }
-    if (!(is >> key >> result.points >> result.remotePoints >>
-          result.recovered >> result.unrecoverable) ||
-        key != "tallies") {
-        return std::nullopt;
-    }
-
-    std::size_t n = 0;
-    if (!(is >> key >> n) || key != "results")
-        return std::nullopt;
-    result.results.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        ConcCrashPointResult r;
-        int outcome = 0, remote = 0;
-        if (!(is >> key >> r.crashCycle >> outcome >> remote >>
-              token) ||
-            key != "p" || outcome < 0 ||
-            outcome > static_cast<int>(CrashOutcome::Unrecoverable) ||
-            remote < 0 || remote > 1 || !readPlanTokens(is, r.plan)) {
-            return std::nullopt;
-        }
-        r.outcome = static_cast<CrashOutcome>(outcome);
-        r.remoteOutstanding = remote == 1;
-        r.invariant = invariantFromToken(token);
-        result.results.push_back(std::move(r));
-    }
-
-    if (!(is >> key >> n) || key != "failures")
-        return std::nullopt;
-    result.failures.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        ConcReproducer rep;
-        if (!(is >> key >> rep.seed >> name >> rep.crashCycle >>
-              token) ||
-            key != "f" || !readPlanTokens(is, rep.plan)) {
-            return std::nullopt;
-        }
-        const std::optional<Config> repCfg = configFromName(name);
-        if (!repCfg)
-            return std::nullopt;
-        rep.config = *repCfg;
-        rep.invariant = invariantFromToken(token);
-        result.failures.push_back(std::move(rep));
-    }
-    return result;
+    return exp::readRecord<ConcCampaignConfigResult>(text);
 }
 
 std::uint64_t

@@ -72,6 +72,33 @@ struct ConcCampaignConfigResult
     std::vector<ConcReproducer> failures;  ///< Safe configs only.
 };
 
+/**
+ * The worker and journal payload of one config (exp/wire.hh).
+ * Invariant names never contain spaces; "-" encodes "none".
+ */
+template <FieldsOf<ConcCampaignConfigResult> R, class Io>
+void
+visitFields(R &r, Io &io)
+{
+    namespace wire = exp::wire;
+    io.line("ede-conc-campaign-v1");
+    io.line("config", wire::config(r.config));
+    io.line("cycles", r.cycles);
+    io.line("transientRejects", r.transientRejects);
+    io.line("tallies", r.points, r.remotePoints, r.recovered,
+            r.unrecoverable);
+    io.seq("results", r.results, [&](auto &p) {
+        io.line("p", p.crashCycle,
+                wire::enumeration(p.outcome, CrashOutcome::Unrecoverable),
+                wire::flag(p.remoteOutstanding), wire::word(p.invariant),
+                p.plan);
+    });
+    io.seq("failures", r.failures, [&](auto &f) {
+        io.line("f", f.seed, wire::config(f.config), f.crashCycle,
+                wire::word(f.invariant), f.plan);
+    });
+}
+
 /** Multi-core campaign parameters. */
 struct ConcCampaignOptions
 {

@@ -96,6 +96,27 @@ struct ConcCheckConfigResult
     std::vector<ConcCounterexample> counterexamples;
 };
 
+/** The worker and journal payload of one config (exp/wire.hh). */
+template <FieldsOf<ConcCheckConfigResult> R, class Io>
+void
+visitFields(R &r, Io &io)
+{
+    namespace wire = exp::wire;
+    io.line("ede-concheck-config-v1");
+    io.line("config", wire::config(r.config));
+    io.line("cycles", r.cycles);
+    io.line("events", r.events, r.freeEvents);
+    io.line("edges", r.orderStats, r.orderStats.crossWait,
+            r.orderStats.crossLine);
+    io.line("tallies", r.states, r.rejectedBudget, r.tornVariants,
+            r.uniqueImages, r.recoveredClean, r.violations,
+            wire::flag(r.truncated), r.seededBugOpIdx, r.seededBugCore);
+    io.seq("counterexamples", r.counterexamples, [&](auto &c) {
+        io.line("c", wire::word(c.invariant), c.tornIdx, c.tornMask,
+                c.imageHash, wire::counted(c.durable));
+    });
+}
+
 /** Cross-core model-check parameters. */
 struct ConcCheckOptions
 {

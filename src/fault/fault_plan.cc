@@ -1,7 +1,5 @@
 #include "fault/fault_plan.hh"
 
-#include <cstring>
-#include <istream>
 #include <memory>
 #include <ostream>
 #include <sstream>
@@ -26,34 +24,6 @@ tearKindName(TearKind kind)
         return "interleaved";
     }
     return "unknown";
-}
-
-void
-writePlanTokens(std::ostream &os, const FaultPlan &p)
-{
-    std::uint64_t rate_bits = 0;
-    std::memcpy(&rate_bits, &p.acceptFaultRate, sizeof(rate_bits));
-    os << p.seed << ' ' << p.drainLines << ' '
-       << static_cast<unsigned>(p.tear) << ' ' << rate_bits << ' '
-       << p.maxConsecutiveRejects;
-}
-
-bool
-readPlanTokens(std::istream &is, FaultPlan &p)
-{
-    std::uint64_t seed = 0, rate_bits = 0;
-    std::uint32_t drain = 0, rejects = 0;
-    unsigned tear = 0;
-    if (!(is >> seed >> drain >> tear >> rate_bits >> rejects))
-        return false;
-    if (tear > static_cast<unsigned>(TearKind::Interleaved))
-        return false;
-    p.seed = seed;
-    p.drainLines = drain;
-    p.tear = static_cast<TearKind>(tear);
-    std::memcpy(&p.acceptFaultRate, &rate_bits, sizeof(double));
-    p.maxConsecutiveRejects = rejects;
-    return true;
 }
 
 void

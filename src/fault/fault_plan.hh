@@ -36,6 +36,7 @@
 #include <string>
 
 #include "common/random.hh"
+#include "exp/wire.hh"
 #include "mem/nvm.hh"
 
 namespace ede {
@@ -83,18 +84,23 @@ struct FaultPlan
     std::string describe() const;
 };
 
-/** @name FaultPlan wire and JSON forms (crash-tool artifacts). */
-/// @{
+/**
+ * Every FaultPlan field in wire order (exp/wire.hh), v(name, field)
+ * each; the rate goes by bit pattern, so it round-trips exactly.
+ */
+template <FieldsOf<FaultPlan> P, class V>
+void
+visitFields(P &p, V &&v)
+{
+    v("seed", p.seed);
+    v("drainLines", p.drainLines);
+    v("tear", exp::wire::enumeration(p.tear, TearKind::Interleaved));
+    v("acceptFaultRate", exp::wire::bits(p.acceptFaultRate));
+    v("maxConsecutiveRejects", p.maxConsecutiveRejects);
+}
 
-/** @p p as whitespace tokens (the rate by bit pattern, so exact). */
-void writePlanTokens(std::ostream &os, const FaultPlan &p);
-
-/** Inverse of writePlanTokens; false on any malformation. */
-bool readPlanTokens(std::istream &is, FaultPlan &p);
-
-/** @p p as one inline JSON object. */
+/** @p p as one inline JSON object (crash-tool artifacts). */
 void writePlanJson(std::ostream &os, const FaultPlan &p);
-/// @}
 
 /**
  * Derive a crash-point fault plan from @p seed: a drain budget in

@@ -373,9 +373,6 @@ checkConfig(const ModelCheckOptions &options, Config cfg,
     return result;
 }
 
-constexpr const char *kModelCheckResultMagic =
-    "ede-modelcheck-config-v1";
-
 } // namespace
 
 bool
@@ -439,105 +436,13 @@ ModelCheckReport::describe() const
 std::string
 serializeModelCheckResult(const ModelCheckConfigResult &result)
 {
-    std::ostringstream os;
-    os << kModelCheckResultMagic << "\n";
-    os << "config " << configName(result.config) << "\n";
-    os << "cycles " << result.cycles << "\n";
-    os << "events " << result.events << ' ' << result.freeEvents
-       << "\n";
-    const PersistOrderStats &s = result.orderStats;
-    os << "edges " << s.sameLine << ' ' << s.edk << ' ' << s.keyChain
-       << ' ' << s.fence << ' ' << s.lineGate << ' ' << s.nonmonotone
-       << "\n";
-    os << "tallies " << result.states << ' ' << result.rejectedBudget
-       << ' ' << result.tornVariants << ' ' << result.uniqueImages
-       << ' ' << result.recoveredClean << ' '
-       << result.tornLogDetected << ' ' << result.violations << ' '
-       << (result.truncated ? 1 : 0) << ' '
-       << result.seededBugTraceIdx << "\n";
-    os << "counterexamples " << result.counterexamples.size() << "\n";
-    for (const ModelCheckCounterexample &cex :
-         result.counterexamples) {
-        os << "c " << cex.invariant << ' ' << cex.tornIdx << ' '
-           << cex.tornMask << ' ' << cex.imageHash << ' '
-           << cex.durable.size();
-        for (std::size_t i : cex.durable)
-            os << ' ' << i;
-        os << ' ' << cex.rollbackTargets.size();
-        for (Addr a : cex.rollbackTargets)
-            os << ' ' << a;
-        os << "\n";
-    }
-    return os.str();
+    return exp::writeRecord(result);
 }
 
 std::optional<ModelCheckConfigResult>
 deserializeModelCheckResult(const std::string &text)
 {
-    std::istringstream is(text);
-    std::string magic, key, name;
-    if (!(is >> magic) || magic != kModelCheckResultMagic)
-        return std::nullopt;
-
-    ModelCheckConfigResult result;
-    if (!(is >> key >> name) || key != "config")
-        return std::nullopt;
-    const std::optional<Config> cfg = configFromName(name);
-    if (!cfg)
-        return std::nullopt;
-    result.config = *cfg;
-
-    if (!(is >> key >> result.cycles) || key != "cycles")
-        return std::nullopt;
-    if (!(is >> key >> result.events >> result.freeEvents) ||
-        key != "events") {
-        return std::nullopt;
-    }
-    PersistOrderStats &s = result.orderStats;
-    if (!(is >> key >> s.sameLine >> s.edk >> s.keyChain >> s.fence >>
-          s.lineGate >> s.nonmonotone) ||
-        key != "edges") {
-        return std::nullopt;
-    }
-    int truncated = 0;
-    if (!(is >> key >> result.states >> result.rejectedBudget >>
-          result.tornVariants >> result.uniqueImages >>
-          result.recoveredClean >> result.tornLogDetected >>
-          result.violations >> truncated >>
-          result.seededBugTraceIdx) ||
-        key != "tallies" || truncated < 0 || truncated > 1) {
-        return std::nullopt;
-    }
-    result.truncated = truncated == 1;
-
-    std::size_t n = 0;
-    if (!(is >> key >> n) || key != "counterexamples")
-        return std::nullopt;
-    result.counterexamples.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        ModelCheckCounterexample cex;
-        std::size_t durables = 0;
-        if (!(is >> key >> cex.invariant >> cex.tornIdx >>
-              cex.tornMask >> cex.imageHash >> durables) ||
-            key != "c") {
-            return std::nullopt;
-        }
-        cex.durable.resize(durables);
-        for (std::size_t j = 0; j < durables; ++j) {
-            if (!(is >> cex.durable[j]))
-                return std::nullopt;
-        }
-        std::size_t targets = 0;
-        if (!(is >> targets))
-            return std::nullopt;
-        cex.rollbackTargets.resize(targets);
-        for (std::size_t j = 0; j < targets; ++j) {
-            if (!(is >> cex.rollbackTargets[j]))
-                return std::nullopt;
-        }
-        result.counterexamples.push_back(std::move(cex));
-    }
-    return result;
+    return exp::readRecord<ModelCheckConfigResult>(text);
 }
 
 std::uint64_t

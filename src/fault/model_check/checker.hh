@@ -96,6 +96,27 @@ struct ModelCheckConfigResult
     std::vector<ModelCheckCounterexample> counterexamples;
 };
 
+/** The worker and journal payload of one config (exp/wire.hh). */
+template <FieldsOf<ModelCheckConfigResult> R, class Io>
+void
+visitFields(R &r, Io &io)
+{
+    namespace wire = exp::wire;
+    io.line("ede-modelcheck-config-v1");
+    io.line("config", wire::config(r.config));
+    io.line("cycles", r.cycles);
+    io.line("events", r.events, r.freeEvents);
+    io.line("edges", r.orderStats);
+    io.line("tallies", r.states, r.rejectedBudget, r.tornVariants,
+            r.uniqueImages, r.recoveredClean, r.tornLogDetected,
+            r.violations, wire::flag(r.truncated), r.seededBugTraceIdx);
+    io.seq("counterexamples", r.counterexamples, [&](auto &c) {
+        io.line("c", wire::word(c.invariant), c.tornIdx, c.tornMask,
+                c.imageHash, wire::counted(c.durable),
+                wire::counted(c.rollbackTargets));
+    });
+}
+
 /** Model-check parameters; everything derives from one root seed. */
 struct ModelCheckOptions
 {

@@ -132,6 +132,22 @@ struct PersistOrderStats
     }
 };
 
+/**
+ * The one-core edge tallies in wire order, v(name, field) each; the
+ * N-core formats carry crossWait and crossLine after them.
+ */
+template <FieldsOf<PersistOrderStats> S, class V>
+void
+visitFields(S &s, V &&v)
+{
+    v("sameLine", s.sameLine);
+    v("edk", s.edk);
+    v("keyChain", s.keyChain);
+    v("fence", s.fence);
+    v("lineGate", s.lineGate);
+    v("nonmonotone", s.nonmonotone);
+}
+
 /** The assembled partial order over one run's persist events. */
 struct PersistOrderGraph
 {

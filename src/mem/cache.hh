@@ -71,6 +71,24 @@ struct CacheStats
     std::uint64_t snoopDowngrades = 0;     ///< Dirty lines cleaned by peers.
 };
 
+/** Every CacheStats counter in wire order: v(name, field) each. */
+template <FieldsOf<CacheStats> S, class V>
+void
+visitFields(S &s, V &&v)
+{
+    v("hits", s.hits);
+    v("misses", s.misses);
+    v("mshrMerges", s.mshrMerges);
+    v("evictions", s.evictions);
+    v("writebacks", s.writebacks);
+    v("cleansForwarded", s.cleansForwarded);
+    v("rejects", s.rejects);
+    v("snoopInvalidations", s.snoopInvalidations);
+    v("snoopDowngrades", s.snoopDowngrades);
+}
+static_assert(sizeof(CacheStats) == 9 * sizeof(std::uint64_t),
+              "a new CacheStats counter joins visitFields");
+
 /** What a coherence snoop found in a peer cache. */
 enum class SnoopResult
 {

@@ -43,6 +43,20 @@ struct DramStats
     std::uint64_t rejects = 0;
 };
 
+/** Every DramStats counter in wire order: v(name, field) each. */
+template <FieldsOf<DramStats> S, class V>
+void
+visitFields(S &s, V &&v)
+{
+    v("reads", s.reads);
+    v("writes", s.writes);
+    v("rowHits", s.rowHits);
+    v("rowMisses", s.rowMisses);
+    v("rejects", s.rejects);
+}
+static_assert(sizeof(DramStats) == 5 * sizeof(std::uint64_t),
+              "a new DramStats counter joins visitFields");
+
 /** One DRAM channel with banked row buffers. */
 class DramDevice
 {

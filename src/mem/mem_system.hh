@@ -53,6 +53,19 @@ struct CoherenceStats
     std::uint64_t dirtyHandoffs = 0;      ///< Dirty copies absorbed by L2.
 };
 
+/** Every CoherenceStats counter in wire order: v(name, field) each. */
+template <FieldsOf<CoherenceStats> S, class V>
+void
+visitFields(S &s, V &&v)
+{
+    v("snoops", s.snoops);
+    v("invalidations", s.invalidations);
+    v("downgrades", s.downgrades);
+    v("dirtyHandoffs", s.dirtyHandoffs);
+}
+static_assert(sizeof(CoherenceStats) == 4 * sizeof(std::uint64_t),
+              "a new CoherenceStats counter joins visitFields");
+
 /** The assembled hierarchy. */
 class MemSystem
 {

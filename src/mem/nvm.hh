@@ -81,6 +81,23 @@ struct NvmStats
     std::uint64_t transientRejects = 0; ///< Fault-injected accept fails.
 };
 
+/** Every NvmStats counter in wire order: v(name, field) each. */
+template <FieldsOf<NvmStats> S, class V>
+void
+visitFields(S &s, V &&v)
+{
+    v("reads", s.reads);
+    v("bufferReadHits", s.bufferReadHits);
+    v("writesAccepted", s.writesAccepted);
+    v("writesCoalesced", s.writesCoalesced);
+    v("mediaWrites", s.mediaWrites);
+    v("cleansAccepted", s.cleansAccepted);
+    v("bufferFullRejects", s.bufferFullRejects);
+    v("transientRejects", s.transientRejects);
+}
+static_assert(sizeof(NvmStats) == 8 * sizeof(std::uint64_t),
+              "a new NvmStats counter joins visitFields");
+
 /**
  * Hook invoked when a write/clean enters the persistence domain
  * (i.e. the persistent buffer): (cache-line address, size, cycle,

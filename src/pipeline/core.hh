@@ -95,6 +95,36 @@ struct CoreStats
     }
 };
 
+/**
+ * Every CoreStats counter in wire order, v(name, field) each; the
+ * issue histogram is not a counter and is carried on its own.
+ */
+template <FieldsOf<CoreStats> S, class V>
+void
+visitFields(S &s, V &&v)
+{
+    v("cycles", s.cycles);
+    v("retired", s.retired);
+    v("dispatched", s.dispatched);
+    v("issuedOps", s.issuedOps);
+    v("branches", s.branches);
+    v("mispredicts", s.mispredicts);
+    v("squashes", s.squashes);
+    v("squashedInsts", s.squashedInsts);
+    v("loadsForwarded", s.loadsForwarded);
+    v("retireStallWbFull", s.retireStallWbFull);
+    v("dispatchStallRob", s.dispatchStallRob);
+    v("dispatchStallIq", s.dispatchStallIq);
+    v("dispatchStallLsq", s.dispatchStallLsq);
+    v("edkStallChecks", s.edkStallChecks);
+    v("edkExternalStalls", s.edkExternalStalls);
+    v("edkStuckDetected", s.edkStuckDetected);
+    v("edkFencesSynthesized", s.edkFencesSynthesized);
+}
+static_assert(sizeof(CoreStats) ==
+                  17 * sizeof(std::uint64_t) + sizeof(Histogram),
+              "a new CoreStats counter joins visitFields");
+
 /** The out-of-order core. */
 class OoOCore final : private WriteBufferOwner
 {

@@ -67,6 +67,21 @@ struct WriteBufferStats
     std::uint64_t memRejected = 0;  ///< L1D refused the push.
 };
 
+/** Every WriteBufferStats counter in wire order: v(name, field) each. */
+template <FieldsOf<WriteBufferStats> S, class V>
+void
+visitFields(S &s, V &&v)
+{
+    v("inserted", s.inserted);
+    v("pushes", s.pushes);
+    v("srcIdGated", s.srcIdGated);
+    v("lineGated", s.lineGated);
+    v("dmbGated", s.dmbGated);
+    v("memRejected", s.memRejected);
+}
+static_assert(sizeof(WriteBufferStats) == 6 * sizeof(std::uint64_t),
+              "a new WriteBufferStats counter joins visitFields");
+
 /**
  * What the write buffer needs from the core that owns it, called
  * directly on the per-tick path.

@@ -50,6 +50,21 @@ struct LatencySummary
     }
 };
 
+/** Every LatencySummary field in wire order: v(name, field) each. */
+template <FieldsOf<LatencySummary> S, class V>
+void
+visitFields(S &s, V &&v)
+{
+    v("count", s.count);
+    v("p50", s.p50);
+    v("p99", s.p99);
+    v("p999", s.p999);
+    v("max", s.max);
+    v("sum", s.sum);
+}
+static_assert(sizeof(LatencySummary) == 6 * sizeof(std::uint64_t),
+              "a new LatencySummary field joins visitFields");
+
 /** Digest @p samples (consumed: selection reorders the vector). */
 LatencySummary summarize(std::vector<Cycle> samples);
 
@@ -142,6 +157,35 @@ struct OverloadResult
     LatencySummary open;         ///< Completed txns, client-perceived.
     LatencySummary goodputOpen;  ///< Deadline-met txns only.
 };
+
+/**
+ * Every OverloadResult counter in wire order, v(name, field) each;
+ * `enabled` and the two latency summaries are carried on their own.
+ */
+template <FieldsOf<OverloadResult> S, class V>
+void
+visitFields(S &s, V &&v)
+{
+    v("effectiveDepth", s.effectiveDepth);
+    v("offered", s.offered);
+    v("admitted", s.admitted);
+    v("completed", s.completed);
+    v("goodput", s.goodput);
+    v("timeouts", s.timeouts);
+    v("failures", s.failures);
+    v("steadyOffered", s.steadyOffered);
+    v("steadyGoodput", s.steadyGoodput);
+    v("steadyHorizon", s.steadyHorizon);
+    v("shedQueue", s.shedQueue);
+    v("shedDeadline", s.shedDeadline);
+    v("shedToken", s.shedToken);
+    v("shedDegrade", s.shedDegrade);
+    v("retries", s.retries);
+    v("retryExhausted", s.retryExhausted);
+    v("degradeUp", s.degradeUp);
+    v("degradeDown", s.degradeDown);
+    v("maxDegradeLevel", s.maxDegradeLevel);
+}
 
 /** Everything a traffic run reports beyond the closed-loop counters. */
 struct TrafficResult

@@ -175,7 +175,7 @@ validateTrafficPlan(const TrafficPlan &plan, Config cfg,
     if (plan.warmupPermille > 999)
         return invalid("traffic warmup fraction must be < 1000 "
                        "permille");
-    if (plan.latencyWindows < 1 || plan.latencyWindows > 64)
+    if (plan.latencyWindows < 1 || plan.latencyWindows > kTrafficMaxWindows)
         return invalid("traffic latency windows must be in [1, 64]");
     if (plan.mix.keys < 1 || plan.mix.keys > kTrafficMaxKeys)
         return invalid("traffic keyspace must be in [1, 4096]");

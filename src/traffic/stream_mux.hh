@@ -58,6 +58,9 @@
 namespace ede {
 namespace traffic {
 
+/** Most progress windows a traffic run may report. */
+inline constexpr unsigned kTrafficMaxWindows = 64;
+
 /** The full description of one open-loop traffic run. */
 struct TrafficPlan
 {
@@ -85,7 +88,7 @@ struct TrafficPlan
      */
     unsigned warmupPermille = 125;
 
-    /** Progress windows in the per-window latency series (1..64). */
+    /** Progress windows in the latency series (1..kTrafficMaxWindows). */
     unsigned latencyWindows = 8;
 
     OverloadPolicy policy;    ///< Overload control (inactive = none).

@@ -37,9 +37,11 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "exp/wire.hh"
 #include "exp/worker.hh"
 #include "verify/diagnostics.hh"
 
@@ -129,6 +131,47 @@ struct FuzzReport
 
 /** Run the campaign. */
 FuzzReport runVerifyFuzz(const FuzzOptions &options);
+
+/** What the generator built a program to be. */
+enum class ProgClass { WellFormed, Malformed, HardwareFault };
+
+/** Per-program verdict plus the tallies merged into the report. */
+struct ProgResult
+{
+    ProgClass cls = ProgClass::WellFormed;
+    bool accepted = false;
+    std::string failure; ///< Empty when the contract held.
+    std::array<std::uint64_t, kNumVerifyKinds> diag{};
+    std::uint64_t runs = 0;
+    std::uint64_t detectorReports = 0;
+    std::uint64_t fencesSynthesized = 0;
+    std::uint64_t externalStalls = 0;
+    std::uint64_t watchdogFirings = 0;
+    std::uint64_t auditChecked = 0;
+    std::uint64_t auditViolations = 0;
+};
+
+/** The isolated worker's payload, one line (exp/wire.hh). */
+template <FieldsOf<ProgResult> R, class Io>
+void
+visitFields(R &r, Io &io)
+{
+    namespace wire = exp::wire;
+    io.line("ede-fuzz-prog-v1",
+            wire::enumeration(r.cls, ProgClass::HardwareFault),
+            wire::flag(r.accepted), r.runs, r.detectorReports,
+            r.fencesSynthesized, r.externalStalls, r.watchdogFirings,
+            r.auditChecked, r.auditViolations, r.diag,
+            wire::text(r.failure));
+}
+
+/** @name ProgResult worker wire format. */
+/// @{
+std::string serializeProgResult(const ProgResult &res);
+
+/** Inverse of serializeProgResult; nullopt on any malformation. */
+std::optional<ProgResult> deserializeProgResult(const std::string &text);
+/// @}
 
 } // namespace ede
 

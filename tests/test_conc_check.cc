@@ -637,5 +637,28 @@ TEST(ConcCampaign, TargetsRemoteWindowsAndRoundTrips)
     EXPECT_FALSE(deserializeConcCampaignResult("junk\n").has_value());
 }
 
+TEST(ConcCampaign, RcuFirstListNodeSurvivesThePreamble)
+{
+    // Every crash image of an exhaustive rcu campaign recovers on the
+    // safe configurations.  A per-core warming store that overwrote
+    // the value field of rcu's first list node left images with
+    // rcu-dangling-node on B, IQ and WB at this size.
+    ConcCampaignOptions opts;
+    opts.app = ConcApp::RcuList;
+    opts.seed = 42;
+    opts.cores = 2;
+    opts.opsPerCore = 24;
+    opts.pointsPerConfig = 0;
+    opts.configs = {Config::B, Config::IQ, Config::WB};
+    const ConcCampaignReport report = runConcCampaign(opts);
+
+    ASSERT_EQ(report.configs.size(), 3u);
+    for (const ConcCampaignConfigResult &c : report.configs) {
+        EXPECT_GT(c.points, 0u) << configName(c.config);
+        EXPECT_EQ(c.unrecoverable, 0u) << configName(c.config);
+    }
+    EXPECT_TRUE(report.ok());
+}
+
 } // namespace
 } // namespace ede

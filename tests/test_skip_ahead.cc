@@ -18,6 +18,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "apps/harness.hh"
 #include "sim_test_util.hh"
 
@@ -52,52 +57,68 @@ runWorkload(AppId app, Config cfg, TickingMode mode)
     return snap;
 }
 
-void
-expectSameCoreStats(const CoreStats &a, const CoreStats &b)
+/** @p rec's visitFields entries as (name, value) pairs. */
+template <class R>
+std::vector<std::pair<std::string, std::uint64_t>>
+fieldsOf(const R &rec)
 {
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.retired, b.retired);
-    EXPECT_EQ(a.dispatched, b.dispatched);
-    EXPECT_EQ(a.issuedOps, b.issuedOps);
-    EXPECT_EQ(a.branches, b.branches);
-    EXPECT_EQ(a.mispredicts, b.mispredicts);
-    EXPECT_EQ(a.squashes, b.squashes);
-    EXPECT_EQ(a.squashedInsts, b.squashedInsts);
-    EXPECT_EQ(a.loadsForwarded, b.loadsForwarded);
-    EXPECT_EQ(a.retireStallWbFull, b.retireStallWbFull);
-    EXPECT_EQ(a.dispatchStallRob, b.dispatchStallRob);
-    EXPECT_EQ(a.dispatchStallIq, b.dispatchStallIq);
-    EXPECT_EQ(a.dispatchStallLsq, b.dispatchStallLsq);
-    EXPECT_EQ(a.edkStallChecks, b.edkStallChecks);
-    EXPECT_EQ(a.edkExternalStalls, b.edkExternalStalls);
-    EXPECT_EQ(a.edkStuckDetected, b.edkStuckDetected);
-    EXPECT_EQ(a.edkFencesSynthesized, b.edkFencesSynthesized);
-    ASSERT_EQ(a.issueHist.size(), b.issueHist.size());
-    for (std::size_t i = 0; i < a.issueHist.size(); ++i)
-        EXPECT_EQ(a.issueHist.count(i), b.issueHist.count(i)) << i;
-    EXPECT_EQ(a.issueHist.saturated(), b.issueHist.saturated());
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    visitFields(rec, [&](const char *name, const auto &f) {
+        out.emplace_back(name, f);
+    });
+    return out;
+}
+
+/** Every visitFields entry of @p a and @p b compared by name. */
+template <class R>
+void
+expectSameFields(const R &a, const R &b, const std::string &where)
+{
+    const auto fa = fieldsOf(a);
+    const auto fb = fieldsOf(b);
+    ASSERT_EQ(fa.size(), fb.size()) << where;
+    for (std::size_t i = 0; i < fa.size(); ++i)
+        EXPECT_EQ(fa[i], fb[i]) << where << '.' << fa[i].first;
+}
+
+void
+expectSameHistogram(const Histogram &a, const Histogram &b,
+                    const std::string &where)
+{
+    EXPECT_EQ(a.counts(), b.counts()) << where;
+    EXPECT_EQ(a.saturated(), b.saturated()) << where;
 }
 
 void
 expectSameSnapshot(const RunSnapshot &ref, const RunSnapshot &skip)
 {
-    EXPECT_EQ(ref.result.cycles, skip.result.cycles);
+    const RunResult &a = ref.result;
+    const RunResult &b = skip.result;
+    EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(ref.opCycles, skip.opCycles);
-    expectSameCoreStats(ref.result.core, skip.result.core);
-
-    EXPECT_EQ(ref.result.wb.inserted, skip.result.wb.inserted);
-    EXPECT_EQ(ref.result.wb.pushes, skip.result.wb.pushes);
-    EXPECT_EQ(ref.result.wb.srcIdGated, skip.result.wb.srcIdGated);
-    EXPECT_EQ(ref.result.wb.lineGated, skip.result.wb.lineGated);
-    EXPECT_EQ(ref.result.wb.dmbGated, skip.result.wb.dmbGated);
-    EXPECT_EQ(ref.result.wb.memRejected, skip.result.wb.memRejected);
-
-    EXPECT_EQ(ref.result.nvm.writesAccepted,
-              skip.result.nvm.writesAccepted);
-    EXPECT_EQ(ref.result.nvm.mediaWrites, skip.result.nvm.mediaWrites);
-    EXPECT_EQ(ref.result.nvm.reads, skip.result.nvm.reads);
-    EXPECT_EQ(ref.result.l1d.misses, skip.result.l1d.misses);
-    EXPECT_EQ(ref.result.dram.reads, skip.result.dram.reads);
+    EXPECT_EQ(a.coreCount, b.coreCount);
+    expectSameFields(a.core, b.core, "core");
+    expectSameHistogram(a.core.issueHist, b.core.issueHist, "issueHist");
+    expectSameFields(a.wb, b.wb, "wb");
+    expectSameFields(a.nvm, b.nvm, "nvm");
+    EXPECT_EQ(a.nvmOccupancy.counts(), b.nvmOccupancy.counts());
+    EXPECT_EQ(a.nvmOccupancy.sampleSum(), b.nvmOccupancy.sampleSum());
+    expectSameFields(a.l1d, b.l1d, "l1d");
+    expectSameFields(a.l2, b.l2, "l2");
+    expectSameFields(a.l3, b.l3, "l3");
+    expectSameFields(a.dram, b.dram, "dram");
+    expectSameFields(a.coherence, b.coherence, "coherence");
+    ASSERT_EQ(a.perCore.size(), b.perCore.size());
+    for (std::size_t c = 0; c < a.perCore.size(); ++c) {
+        const std::string core = "perCore[" + std::to_string(c) + "]";
+        EXPECT_EQ(a.perCore[c].core, b.perCore[c].core) << core;
+        expectSameFields(a.perCore[c].stats, b.perCore[c].stats, core);
+        expectSameHistogram(a.perCore[c].stats.issueHist,
+                            b.perCore[c].stats.issueHist, core);
+        expectSameFields(a.perCore[c].wb, b.perCore[c].wb, core + ".wb");
+        expectSameFields(a.perCore[c].l1d, b.perCore[c].l1d,
+                         core + ".l1d");
+    }
 
     // Persist order is the crash-consistency ground truth; the fault
     // campaign's crash-point classification follows from it and the
@@ -121,6 +142,35 @@ class SkipAheadDifferential
     : public ::testing::TestWithParam<Config>
 {
 };
+
+/**
+ * The sizeof static_assert beside each counter record catches a new
+ * field; this catches a field list that lost an entry or visits one
+ * twice, so the comparison below sees every counter exactly once.
+ */
+template <class R>
+void
+expectEveryCounterVisited(const char *record, std::size_t extraBytes = 0)
+{
+    const auto fields = fieldsOf(R{});
+    std::set<std::string> names;
+    for (const auto &f : fields)
+        names.insert(f.first);
+    EXPECT_EQ(names.size(), fields.size()) << record;
+    EXPECT_EQ(fields.size() * sizeof(std::uint64_t) + extraBytes,
+              sizeof(R))
+        << record;
+}
+
+TEST(SkipAhead, EveryCounterIsCompared)
+{
+    expectEveryCounterVisited<CoreStats>("CoreStats", sizeof(Histogram));
+    expectEveryCounterVisited<WriteBufferStats>("WriteBufferStats");
+    expectEveryCounterVisited<CacheStats>("CacheStats");
+    expectEveryCounterVisited<NvmStats>("NvmStats");
+    expectEveryCounterVisited<DramStats>("DramStats");
+    expectEveryCounterVisited<CoherenceStats>("CoherenceStats");
+}
 
 TEST_P(SkipAheadDifferential, UpdateWorkloadIsBitIdentical)
 {

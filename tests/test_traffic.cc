@@ -41,6 +41,7 @@
 #include "exp/fingerprint.hh"
 #include "exp/result_cache.hh"
 #include "exp/runner.hh"
+#include "exp/sink.hh"
 #include "sim/session.hh"
 #include "traffic/arrival.hh"
 #include "traffic/latency.hh"
@@ -1230,6 +1231,13 @@ TEST(TrafficGroups, MalformedReplayKnobIsQuarantinedAlone)
     EXPECT_EQ(failed.failure.attempts, 1u);
     EXPECT_NE(failed.failure.message.find("latency windows"),
               std::string::npos);
+    // The artifact's failures entry names the workload it ran.
+    const std::string json = exp::resultsToJson("traffic", results);
+    const std::size_t failures = json.find("\"failures\": [");
+    ASSERT_NE(failures, std::string::npos);
+    EXPECT_NE(json.find("\"app\": \"traffic\"", failures),
+              std::string::npos)
+        << json.substr(failures);
     EXPECT_EQ(results.machineRuns(), 2u);
     for (std::size_t i = 0; i < plan.size(); ++i) {
         if (i == bad)
